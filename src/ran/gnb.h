@@ -114,7 +114,11 @@ public:
     void end_outage(rnti_t ue);
     bool in_outage(rnti_t ue);
 
-    void set_cu_hook(cu_hook* hook) { hook_ = hook; }
+    void set_cu_hook(ran::cu_hook* hook) { hook_ = hook; }
+    // The installed hook (nullptr: none). Owners that move per-UE hook state
+    // at handover go through this, so a decorator installed with
+    // set_cu_hook sees the transfer too.
+    ran::cu_hook* cu_hook() const { return hook_; }
     void set_rlf_handler(rlf_handler h) { on_rlf_ = std::move(h); }
     void set_deliver_handler(deliver_handler h) { on_deliver_ = std::move(h); }
     void set_uplink_handler(uplink_handler h) { on_uplink_ = std::move(h); }
@@ -220,7 +224,7 @@ private:
     // lookup table is a dense vector indexed by rnti-1 (nullptr after
     // detach), not a hash map — try_ue is one bounds check and a load.
     std::vector<ue_ctx*> rnti_slots_;
-    cu_hook* hook_ = nullptr;
+    ran::cu_hook* hook_ = nullptr;
     obs::tracer* tracer_ = nullptr;
     deliver_handler on_deliver_;
     uplink_handler on_uplink_;

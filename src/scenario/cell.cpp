@@ -279,13 +279,11 @@ cell::cell(sim::event_loop& loop, cell_spec spec, int index)
         auto cfg = spec_.l4s;
         cfg.seed = rng_.fork().engine()();
         l4span_ = std::make_unique<core::l4span>(cfg);
-        hook_ = l4span_.get();
         gnb_->set_cu_hook(l4span_.get());
         break;
     }
     case cu_mode::dualpi2_ran:
         dualpi2_ = std::make_unique<dualpi2_ran_hook>(spec_.dualpi2);
-        hook_ = dualpi2_.get();
         gnb_->set_cu_hook(dualpi2_.get());
         break;
     case cu_mode::tcran:
@@ -416,10 +414,10 @@ bool cell::has_ue(ran::rnti_t ue) const
 ran::ue_handover_context cell::detach_ue(ran::rnti_t ue, hook_transfer ht)
 {
     auto ctx = gnb_->detach_ue(ue);
-    if (hook_) {
+    if (ran::cu_hook* hook = gnb_->cu_hook()) {
         // detach removes every entry keyed to the RNTI either way; only
         // `migrate` keeps the state alive for the target cell's entity.
-        auto st = hook_->detach_ue(ue);
+        auto st = hook->detach_ue(ue);
         if (ht == hook_transfer::migrate) ctx.hook_state = std::move(st);
     }
     rec(ue).attached = false;  // stats freeze; the record stays queryable
@@ -443,7 +441,8 @@ ran::rnti_t cell::attach_ue(ran::ue_handover_context ctx)
     auto hook_state = std::move(ctx.hook_state);
 
     const ran::rnti_t rnti = gnb_->attach_ue(std::move(ctx));
-    if (hook_ && hook_state) hook_->attach_ue(rnti, std::move(hook_state));
+    ran::cu_hook* hook = gnb_->cu_hook();
+    if (hook && hook_state) hook->attach_ue(rnti, std::move(hook_state));
 
     auto r = std::make_unique<ue_rec>();
     r->rnti = rnti;

@@ -289,7 +289,6 @@ private:
     std::unique_ptr<core::l4span> l4span_;
     std::unique_ptr<dualpi2_ran_hook> dualpi2_;
     std::unique_ptr<tc_ran> tcran_;
-    ran::cu_hook* hook_ = nullptr;
 
     std::vector<std::unique_ptr<ue_rec>> ues_;  // includes detached tombstones
     // RNTIs are assigned densely from 1 by this cell's gNB and never

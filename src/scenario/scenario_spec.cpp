@@ -1,9 +1,11 @@
 #include "scenario/scenario_spec.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace l4span::scenario {
@@ -13,893 +15,664 @@ namespace {
 // Largest integer a double (and therefore a JSON number) carries exactly.
 constexpr double k_max_exact = 9007199254740992.0;  // 2^53
 
-// Time fields travel as milliseconds/seconds; conversion rounds to the
-// nearest tick (nanosecond). Round-to-nearest — unlike from_ms's
-// truncation — makes tick -> decimal -> tick the identity for every tick
-// below 2^51 ns, which is what keeps export -> parse -> export exact.
-sim::tick ms_to_tick(double ms)
-{
-    return static_cast<sim::tick>(std::llround(ms * sim::k_millisecond));
-}
-sim::tick sec_to_tick(double s)
-{
-    return static_cast<sim::tick>(std::llround(s * sim::k_second));
-}
-
-[[noreturn]] void fail(const std::string& origin, int line, const std::string& msg)
+[[noreturn]] void fail_at(const std::string& origin, int line, const std::string& msg)
 {
     std::string out = origin + ": " + msg;
     if (line > 0) out += " (line " + std::to_string(line) + ")";
     throw scenario_error(out);
 }
 
-// One object node being bound to a struct: typed, range-checked accessors
-// that mark the keys they consume, plus a final unknown-key sweep. Every
-// error names the full key path and the node's source line.
-class binder {
-public:
-    binder(const std::string& origin, const stats::json& node, std::string path)
-        : origin_(origin), node_(node), path_(std::move(path))
-    {
-        if (!node_.is_object())
-            fail(origin_, node_.line(), "\"" + path_ + "\" must be an object");
+void require(bool ok, const std::string& msg)
+{
+    if (!ok) throw scenario_error(msg);
+}
+
+std::string join(const std::vector<std::string_view>& names)
+{
+    std::string out;
+    for (std::string_view n : names) {
+        if (!out.empty()) out += ", ";
+        out += n;
     }
+    return out;
+}
 
-    const std::string& origin() const { return origin_; }
-    const std::string& path() const { return path_; }
-    int line() const { return node_.line(); }
+// One value being bound: every diagnostic names the origin, the full key
+// path and the value's source line (the enclosing object's line for values
+// built without one).
+struct site {
+    const std::string& origin;
+    int node_line;
+    std::string path;
+    const stats::json& value;
 
-    // Returns the member or nullptr, remembering `key` as known.
-    const stats::json* opt(const char* key)
+    [[noreturn]] void fail(const std::string& msg, const char* sep = " ") const
     {
-        known_.push_back(key);
-        return node_.find(key);
+        fail_at(origin, value.line() > 0 ? value.line() : node_line,
+                "key \"" + path + "\"" + sep + msg);
     }
-
-    bool bool_or(const char* key, bool def)
-    {
-        const stats::json* v = opt(key);
-        if (!v) return def;
-        if (!v->is_bool()) fail_key(key, *v, "must be true or false");
-        return v->as_bool();
-    }
-
-    double num_or(const char* key, double def,
-                  double lo = -std::numeric_limits<double>::infinity(),
-                  double hi = std::numeric_limits<double>::infinity())
-    {
-        const stats::json* v = opt(key);
-        if (!v) return def;
-        return check_range(key, *v, lo, hi);
-    }
-
-    // Integer-valued number in [lo, hi].
-    long long int_or(const char* key, long long def, long long lo, long long hi)
-    {
-        const stats::json* v = opt(key);
-        if (!v) return def;
-        const double d = check_range(key, *v, static_cast<double>(lo),
-                                     static_cast<double>(hi));
-        if (d != std::floor(d))
-            fail_key(key, *v, "must be an integer, got " + std::to_string(d));
-        return static_cast<long long>(d);
-    }
-
-    std::uint64_t u64_or(const char* key, std::uint64_t def)
-    {
-        const stats::json* v = opt(key);
-        if (!v) return def;
-        const double d = check_range(key, *v, 0.0, k_max_exact);
-        if (d != std::floor(d)) fail_key(key, *v, "must be a non-negative integer");
-        return static_cast<std::uint64_t>(d);
-    }
-
-    std::string str_or(const char* key, std::string def)
-    {
-        const stats::json* v = opt(key);
-        if (!v) return def;
-        if (!v->is_string()) fail_key(key, *v, "must be a string");
-        return v->as_string();
-    }
-
-    // Required array member.
-    const stats::json& array(const char* key)
-    {
-        const stats::json* v = opt(key);
-        if (!v)
-            fail(origin_, node_.line(),
-                 "missing required key \"" + path_ + "." + key + "\"");
-        if (!v->is_array()) fail_key(key, *v, "must be an array");
-        if (v->elements().empty()) fail_key(key, *v, "must not be empty");
-        return *v;
-    }
-
-    // Optional object member; nullptr when absent.
-    const stats::json* object(const char* key)
-    {
-        const stats::json* v = opt(key);
-        if (!v) return nullptr;
-        if (!v->is_object()) fail_key(key, *v, "must be an object");
-        return v;
-    }
-
-    [[noreturn]] void fail_key(const char* key, const stats::json& v,
-                               const std::string& msg)
-    {
-        fail(origin_, v.line() > 0 ? v.line() : node_.line(),
-             "key \"" + path_ + "." + key + "\" " + msg);
-    }
-
-    // Unknown-key sweep: every accessor above registered its key, so by now
-    // `known_` is the complete schema of this object and anything else is a
-    // typo worth naming (with the valid keys, so the fix is one glance).
-    void done()
-    {
-        for (const auto& [key, value] : node_.members()) {
-            bool ok = false;
-            for (const char* k : known_)
-                if (key == k) { ok = true; break; }
-            if (ok) continue;
-            std::string valid;
-            for (const char* k : known_)
-                valid += (valid.empty() ? "" : ", ") + std::string(k);
-            fail(origin_, value.line() > 0 ? value.line() : node_.line(),
-                 "unknown key \"" + path_ + "." + key + "\" (valid: " + valid + ")");
-        }
-    }
-
-private:
-    double check_range(const char* key, const stats::json& v, double lo, double hi)
-    {
-        if (!v.is_number()) fail_key(key, v, "must be a number");
-        const double d = v.as_number();
-        if (d < lo || d > hi)
-            fail_key(key, v,
-                     "must be in [" + std::to_string(lo) + ", " +
-                         std::to_string(hi) + "], got " + std::to_string(d));
-        return d;
-    }
-
-    const std::string& origin_;
-    const stats::json& node_;
-    std::string path_;
-    std::vector<const char*> known_;
 };
 
-std::string elem_path(const std::string& base, const char* key, std::size_t i)
-{
-    return base + "." + key + "[" + std::to_string(i) + "]";
-}
+// --- name tables -------------------------------------------------------------
+// One table per enum or string choice gives both directions and the
+// "(valid: ...)" text of the unknown-name diagnostic.
 
-// --- small enum <-> name tables ---------------------------------------------
+template <class T>
+struct name_table {
+    const char* noun;
+    std::vector<std::pair<std::string, T>> entries;
 
-std::string cu_mode_name(cu_mode m)
-{
-    switch (m) {
-        case cu_mode::none: return "none";
-        case cu_mode::l4span: return "l4span";
-        case cu_mode::dualpi2_ran: return "dualpi2_ran";
-        case cu_mode::tcran: return "tcran";
+    const T* find(std::string_view name) const
+    {
+        for (const auto& [n, v] : entries)
+            if (n == name) return &v;
+        return nullptr;
     }
-    return "l4span";
-}
-
-cu_mode cu_mode_by_name(binder& b, const char* key, const std::string& name)
-{
-    if (name == "none") return cu_mode::none;
-    if (name == "l4span") return cu_mode::l4span;
-    if (name == "dualpi2_ran") return cu_mode::dualpi2_ran;
-    if (name == "tcran") return cu_mode::tcran;
-    fail(b.origin(), b.line(),
-         "key \"" + b.path() + "." + key + "\": unknown CU mode \"" + name +
-             "\" (valid: none, l4span, dualpi2_ran, tcran)");
-}
-
-std::string ecn_name(net::ecn e)
-{
-    switch (e) {
-        case net::ecn::not_ect: return "not_ect";
-        case net::ecn::ect0: return "ect0";
-        case net::ecn::ect1: return "ect1";
-        case net::ecn::ce: return "ce";
+    const std::string& name_of(const T& value) const
+    {
+        for (const auto& [n, v] : entries)
+            if (v == value) return n;
+        return entries.front().first;
     }
-    return "not_ect";
-}
-
-net::ecn ecn_by_name(binder& b, const char* key, const std::string& name)
-{
-    if (name == "not_ect") return net::ecn::not_ect;
-    if (name == "ect0") return net::ecn::ect0;
-    if (name == "ect1") return net::ecn::ect1;
-    if (name == "ce") return net::ecn::ce;
-    fail(b.origin(), b.line(),
-         "key \"" + b.path() + "." + key + "\": unknown ECN codepoint \"" + name +
-             "\" (valid: not_ect, ect0, ect1, ce)");
-}
-
-// --- sub-spec parsers (parse_x) and exporters (json_of_x) -------------------
-// Every exporter writes every key, always, in one fixed order; every parser
-// accepts exactly those keys. That pairing is what makes export -> parse ->
-// export the byte identity.
-
-topo::impairment_spec parse_impairment(const std::string& origin,
-                                       const stats::json& node,
-                                       const std::string& path, bool top_level)
-{
-    binder b(origin, node, path);
-    topo::impairment_spec s;
-    s.remark_ect1 = b.num_or("remark_ect1", 0.0, 0.0, 1.0);
-    s.bleach_ce = b.num_or("bleach_ce", 0.0, 0.0, 1.0);
-    s.strip_ect = b.num_or("strip_ect", 0.0, 0.0, 1.0);
-    s.loss = b.num_or("loss", 0.0, 0.0, 1.0);
-    s.loss_burst = b.num_or("loss_burst", 1.0, 1.0, 1e6);
-    s.reorder = b.num_or("reorder", 0.0, 0.0, 1.0);
-    s.reorder_gap = static_cast<int>(b.int_or("reorder_gap", 3, 1, 1 << 20));
-    s.reorder_hold_max = ms_to_tick(b.num_or("reorder_hold_max_ms", 20.0, 0.0, 60e3));
-    s.duplicate = b.num_or("duplicate", 0.0, 0.0, 1.0);
-    s.force_stage = b.bool_or("force_stage", false);
-    if (const stats::json* fp = b.opt("flow_policies")) {
-        if (!fp->is_array())
-            b.fail_key("flow_policies", *fp, "must be an array");
-        if (!top_level)
-            b.fail_key("flow_policies", *fp,
-                       "may not nest (per-flow policies are one level deep)");
-        for (std::size_t i = 0; i < fp->elements().size(); ++i)
-            s.flow_policies.push_back(
-                parse_impairment(origin, fp->elements()[i],
-                                 elem_path(path, "flow_policies", i), false));
+    std::string unknown(const std::string& name) const
+    {
+        std::vector<std::string_view> names;
+        for (const auto& e : entries) names.push_back(e.first);
+        return "unknown " + std::string(noun) + " \"" + name + "\" (valid: " +
+               join(names) + ")";
     }
-    b.done();
-    return s;
+};
+
+// A string member restricted to a fixed set of names.
+name_table<std::string> choices(const char* noun,
+                                std::initializer_list<const char*> names)
+{
+    name_table<std::string> t{noun, {}};
+    for (const char* n : names) t.entries.emplace_back(n, n);
+    return t;
 }
 
-stats::json json_of_impairment(const topo::impairment_spec& s, bool top_level)
+const name_table<cu_mode> k_cu_modes{
+    "CU mode",
+    {{"none", cu_mode::none},
+     {"l4span", cu_mode::l4span},
+     {"dualpi2_ran", cu_mode::dualpi2_ran},
+     {"tcran", cu_mode::tcran}}};
+const name_table<net::ecn> k_ecn_codepoints{
+    "ECN codepoint",
+    {{"not_ect", net::ecn::not_ect},
+     {"ect0", net::ecn::ect0},
+     {"ect1", net::ecn::ect1},
+     {"ce", net::ecn::ce}}};
+const name_table<core::shared_drb_policy> k_policies{
+    "shared-DRB policy",
+    {{"original", core::shared_drb_policy::original},
+     {"l4s_all", core::shared_drb_policy::l4s_all},
+     {"classic_all", core::shared_drb_policy::classic_all},
+     {"coupled", core::shared_drb_policy::coupled}}};
+const auto k_aqms = choices("AQM", {"fifo", "dualpi2", "wred"});
+const auto k_cross_models = choices("model", {"poisson", "cbr"});
+// "trace" needs DCI trace data files, which v1 scenario files cannot carry
+// (bench_trace_replay is the trace-driven harness).
+const auto k_channels =
+    choices("channel", {"static", "pedestrian", "vehicular", "mobile"});
+
+// --- codecs --------------------------------------------------------------------
+// A codec binds one JSON value onto a member (bind) and writes it back
+// (emit). Every emit writes what bind reads, so export -> parse -> export is
+// the identity on bytes.
+
+double in_range(const site& s, double lo, double hi)
 {
-    auto j = stats::json::object();
-    j.set("remark_ect1", s.remark_ect1)
-        .set("bleach_ce", s.bleach_ce)
-        .set("strip_ect", s.strip_ect)
-        .set("loss", s.loss)
-        .set("loss_burst", s.loss_burst)
-        .set("reorder", s.reorder)
-        .set("reorder_gap", s.reorder_gap)
-        .set("reorder_hold_max_ms", sim::to_ms(s.reorder_hold_max))
-        .set("duplicate", s.duplicate)
-        .set("force_stage", s.force_stage);
-    if (top_level) {
-        auto fp = stats::json::array();
-        for (const auto& p : s.flow_policies)
-            fp.push(json_of_impairment(p, false));
-        j.set("flow_policies", std::move(fp));
+    if (!s.value.is_number()) s.fail("must be a number");
+    const double d = s.value.as_number();
+    if (d < lo || d > hi)
+        s.fail("must be in [" + std::to_string(lo) + ", " + std::to_string(hi) +
+               "], got " + std::to_string(d));
+    return d;
+}
+
+struct number {
+    double lo, hi;
+    void bind(const site& s, double& out) const { out = in_range(s, lo, hi); }
+    stats::json emit(double v) const { return v; }
+};
+
+// Integer-valued number in [lo, hi], stored in any integral member.
+struct integer {
+    double lo, hi;
+    template <class T>
+    void bind(const site& s, T& out) const
+    {
+        const double d = in_range(s, lo, hi);
+        if (d != std::floor(d)) s.fail("must be an integer, got " + std::to_string(d));
+        out = static_cast<T>(d);
     }
-    return j;
-}
-
-aqm::wred_profile parse_wred_profile(const std::string& origin,
-                                     const stats::json& node,
-                                     const std::string& path)
-{
-    binder b(origin, node, path);
-    aqm::wred_profile p;
-    p.min_bytes = static_cast<std::size_t>(
-        b.int_or("min_bytes", 0, 0, 1ll << 40));
-    p.max_bytes = static_cast<std::size_t>(
-        b.int_or("max_bytes", 0, 0, 1ll << 40));
-    p.max_p = b.num_or("max_p", 1.0, 0.0, 1.0);
-    b.done();
-    return p;
-}
-
-stats::json json_of_wred_profile(const aqm::wred_profile& p)
-{
-    auto j = stats::json::object();
-    j.set("min_bytes", static_cast<std::uint64_t>(p.min_bytes))
-        .set("max_bytes", static_cast<std::uint64_t>(p.max_bytes))
-        .set("max_p", p.max_p);
-    return j;
-}
-
-aqm::wred_dualq_config parse_wred(const std::string& origin,
-                                  const stats::json& node, const std::string& path)
-{
-    binder b(origin, node, path);
-    aqm::wred_dualq_config cfg;
-    if (const stats::json* p = b.object("l4s"))
-        cfg.l4s = parse_wred_profile(origin, *p, path + ".l4s");
-    if (const stats::json* p = b.object("classic"))
-        cfg.classic = parse_wred_profile(origin, *p, path + ".classic");
-    cfg.ecn_drop_bytes = static_cast<std::size_t>(
-        b.int_or("ecn_drop_bytes", static_cast<long long>(cfg.ecn_drop_bytes), 0,
-                 1ll << 40));
-    cfg.l4s_weight = static_cast<int>(b.int_or("l4s_weight", cfg.l4s_weight, 1, 1 << 20));
-    cfg.max_bytes = static_cast<std::size_t>(
-        b.int_or("max_bytes", static_cast<long long>(cfg.max_bytes), 1, 1ll << 40));
-    b.done();
-    return cfg;
-}
-
-stats::json json_of_wred(const aqm::wred_dualq_config& cfg)
-{
-    auto j = stats::json::object();
-    j.set("l4s", json_of_wred_profile(cfg.l4s))
-        .set("classic", json_of_wred_profile(cfg.classic))
-        .set("ecn_drop_bytes", static_cast<std::uint64_t>(cfg.ecn_drop_bytes))
-        .set("l4s_weight", cfg.l4s_weight)
-        .set("max_bytes", static_cast<std::uint64_t>(cfg.max_bytes));
-    return j;
-}
-
-core::l4span_config parse_l4s(const std::string& origin, const stats::json& node,
-                              const std::string& path)
-{
-    binder b(origin, node, path);
-    core::l4span_config cfg;
-    cfg.sojourn_threshold = ms_to_tick(
-        b.num_or("sojourn_threshold_ms", sim::to_ms(cfg.sojourn_threshold), 0.1, 10e3));
-    cfg.coherence_time = ms_to_tick(
-        b.num_or("coherence_time_ms", sim::to_ms(cfg.coherence_time), 0.1, 10e3));
-    cfg.short_circuit = b.bool_or("short_circuit", cfg.short_circuit);
-    cfg.drop_non_ecn = b.bool_or("drop_non_ecn", cfg.drop_non_ecn);
-    cfg.error_aware = b.bool_or("error_aware", cfg.error_aware);
-    cfg.classic_beta = b.num_or("classic_beta", cfg.classic_beta, 0.01, 0.99);
-    cfg.mss = static_cast<std::uint32_t>(b.int_or("mss", cfg.mss, 64, 65535));
-    cfg.shared_policy = shared_drb_policy_by_name(
-        b.str_or("shared_policy", shared_drb_policy_name(cfg.shared_policy)));
-    cfg.prune_horizon = ms_to_tick(
-        b.num_or("prune_horizon_ms", sim::to_ms(cfg.prune_horizon), 1.0, 3600e3));
-    b.done();
-    return cfg;
-}
-
-stats::json json_of_l4s(const core::l4span_config& cfg)
-{
-    auto j = stats::json::object();
-    j.set("sojourn_threshold_ms", sim::to_ms(cfg.sojourn_threshold))
-        .set("coherence_time_ms", sim::to_ms(cfg.coherence_time))
-        .set("short_circuit", cfg.short_circuit)
-        .set("drop_non_ecn", cfg.drop_non_ecn)
-        .set("error_aware", cfg.error_aware)
-        .set("classic_beta", cfg.classic_beta)
-        .set("mss", static_cast<int>(cfg.mss))
-        .set("shared_policy", shared_drb_policy_name(cfg.shared_policy))
-        .set("prune_horizon_ms", sim::to_ms(cfg.prune_horizon));
-    return j;
-}
-
-topo::cross_traffic_spec parse_cross(const std::string& origin,
-                                     const stats::json& node,
-                                     const std::string& path)
-{
-    binder b(origin, node, path);
-    topo::cross_traffic_spec s;
-    s.model = b.str_or("model", s.model);
-    if (s.model != "poisson" && s.model != "cbr")
-        fail(origin, b.line(),
-             "key \"" + path + ".model\": unknown model \"" + s.model +
-                 "\" (valid: poisson, cbr)");
-    s.rate_bps = b.num_or("rate_bps", 0.0, 0.0, 1e12);
-    s.pkt_bytes = static_cast<std::uint32_t>(b.int_or("pkt_bytes", s.pkt_bytes, 64, 65535));
-    s.ecn_field = ecn_by_name(b, "ecn", b.str_or("ecn", ecn_name(s.ecn_field)));
-    s.start_time = ms_to_tick(b.num_or("start_ms", 0.0, 0.0, 3600e3));
-    const double stop_ms = b.num_or("stop_ms", -1.0, -1.0, 3600e3);
-    s.stop_time = stop_ms < 0.0 ? -1 : ms_to_tick(stop_ms);
-    s.uplink = b.bool_or("uplink", false);
-    b.done();
-    return s;
-}
-
-stats::json json_of_cross(const topo::cross_traffic_spec& s)
-{
-    auto j = stats::json::object();
-    j.set("model", s.model)
-        .set("rate_bps", s.rate_bps)
-        .set("pkt_bytes", static_cast<int>(s.pkt_bytes))
-        .set("ecn", ecn_name(s.ecn_field))
-        .set("start_ms", sim::to_ms(s.start_time))
-        .set("stop_ms", s.stop_time < 0 ? -1.0 : sim::to_ms(s.stop_time))
-        .set("uplink", s.uplink);
-    return j;
-}
-
-cell_spec parse_cell(const std::string& origin, const stats::json& node,
-                     const std::string& path)
-{
-    binder b(origin, node, path);
-    cell_spec c;
-    c.num_ues = static_cast<int>(b.int_or("num_ues", c.num_ues, 1, 4096));
-    c.channel = b.str_or("channel", c.channel);
-    if (c.channel == "trace")
-        fail(origin, b.line(),
-             "key \"" + path + ".channel\": \"trace\" is not available in "
-             "scenario files (v1) — DCI trace replay needs trace data files; "
-             "use bench_trace_replay (valid: static, pedestrian, vehicular, "
-             "mobile)");
-    c.rlc_queue_sdus = static_cast<std::size_t>(
-        b.int_or("rlc_queue_sdus", static_cast<long long>(c.rlc_queue_sdus), 1,
-                 1ll << 30));
-    c.cu = cu_mode_by_name(b, "cu", b.str_or("cu", cu_mode_name(c.cu)));
-    c.seed = b.u64_or("seed", c.seed);
-    c.separate_drbs_per_class =
-        b.bool_or("separate_drbs_per_class", c.separate_drbs_per_class);
-    c.bottleneck_bps = b.num_or("bottleneck_bps", 0.0, 0.0, 1e12);
-    c.bottleneck_aqm = b.str_or("bottleneck_aqm", c.bottleneck_aqm);
-    if (c.bottleneck_aqm != "fifo" && c.bottleneck_aqm != "dualpi2" &&
-        c.bottleneck_aqm != "wred")
-        fail(origin, b.line(),
-             "key \"" + path + ".bottleneck_aqm\": unknown AQM \"" +
-                 c.bottleneck_aqm + "\" (valid: fifo, dualpi2, wred)");
-    if (const stats::json* w = b.object("wred"))
-        c.wred = parse_wred(origin, *w, path + ".wred");
-    c.ul_bottleneck_bps = b.num_or("ul_bottleneck_bps", 0.0, 0.0, 1e12);
-    if (const stats::json* l = b.object("l4s"))
-        c.l4s = parse_l4s(origin, *l, path + ".l4s");
-    if (const stats::json* i = b.object("impair_dl"))
-        c.impair_dl = parse_impairment(origin, *i, path + ".impair_dl", true);
-    if (const stats::json* i = b.object("impair_ul"))
-        c.impair_ul = parse_impairment(origin, *i, path + ".impair_ul", true);
-    if (const stats::json* x = b.opt("cross_traffic")) {
-        if (!x->is_array()) b.fail_key("cross_traffic", *x, "must be an array");
-        for (std::size_t i = 0; i < x->elements().size(); ++i)
-            c.cross_traffic.push_back(parse_cross(
-                origin, x->elements()[i], elem_path(path, "cross_traffic", i)));
+    template <class T>
+    stats::json emit(T v) const
+    {
+        return static_cast<double>(v);
     }
-    b.done();
-    return c;
-}
+};
+constexpr integer k_u64{0.0, k_max_exact};
 
-stats::json json_of_cell(const cell_spec& c)
-{
-    auto j = stats::json::object();
-    j.set("num_ues", c.num_ues)
-        .set("channel", c.channel)
-        .set("rlc_queue_sdus", static_cast<std::uint64_t>(c.rlc_queue_sdus))
-        .set("cu", cu_mode_name(c.cu))
-        .set("seed", c.seed)
-        .set("separate_drbs_per_class", c.separate_drbs_per_class)
-        .set("bottleneck_bps", c.bottleneck_bps)
-        .set("bottleneck_aqm", c.bottleneck_aqm)
-        .set("wred", json_of_wred(c.wred))
-        .set("ul_bottleneck_bps", c.ul_bottleneck_bps)
-        .set("l4s", json_of_l4s(c.l4s))
-        .set("impair_dl", json_of_impairment(c.impair_dl, true))
-        .set("impair_ul", json_of_impairment(c.impair_ul, true));
-    auto x = stats::json::array();
-    for (const auto& s : c.cross_traffic) x.push(json_of_cross(s));
-    j.set("cross_traffic", std::move(x));
-    return j;
-}
-
-flow_spec parse_flow(const std::string& origin, const stats::json& node,
-                     const std::string& path, int* count_out)
-{
-    binder b(origin, node, path);
-    flow_spec f;
-    f.cca = b.str_or("cca", f.cca);
-    f.ue = static_cast<int>(b.int_or("ue", f.ue, 0, 1 << 20));
-    *count_out = static_cast<int>(b.int_or("count", 1, 1, 4096));
-    f.start_time = ms_to_tick(b.num_or("start_ms", 0.0, 0.0, 3600e3));
-    const double stop_ms = b.num_or("stop_ms", -1.0, -1.0, 3600e3);
-    f.stop_time = stop_ms < 0.0 ? -1 : ms_to_tick(stop_ms);
-    f.flow_bytes = b.u64_or("flow_bytes", f.flow_bytes);
-    f.wired_owd_ms = b.num_or("wired_owd_ms", f.wired_owd_ms, 0.0, 10e3);
-    f.mss = static_cast<std::uint32_t>(b.int_or("mss", f.mss, 64, 65535));
-    f.max_cwnd = b.u64_or("max_cwnd", f.max_cwnd);
-    f.media_max_bps = b.num_or("media_max_bps", f.media_max_bps, 0.0, 1e12);
-    f.media_start_bps = b.num_or("media_start_bps", f.media_start_bps, 0.0, 1e12);
-    f.fps = b.num_or("fps", f.fps, 0.0, 1e3);
-    f.frame_bitrate_bps = b.num_or("frame_bitrate_bps", f.frame_bitrate_bps, 0.0, 1e12);
-    f.keyframe_interval_s = b.num_or("keyframe_interval_s", f.keyframe_interval_s,
-                                     0.01, 3600.0);
-    f.keyframe_scale = b.num_or("keyframe_scale", f.keyframe_scale, 1.0, 1e3);
-    f.frame_deadline_ms = b.num_or("frame_deadline_ms", f.frame_deadline_ms, 0.1,
-                                   10e3);
-    b.done();
-    return f;
-}
-
-stats::json json_of_flow(const flow_spec& f, int count)
-{
-    auto j = stats::json::object();
-    j.set("cca", f.cca)
-        .set("ue", f.ue)
-        .set("count", count)
-        .set("start_ms", sim::to_ms(f.start_time))
-        .set("stop_ms", f.stop_time < 0 ? -1.0 : sim::to_ms(f.stop_time))
-        .set("flow_bytes", f.flow_bytes)
-        .set("wired_owd_ms", f.wired_owd_ms)
-        .set("mss", static_cast<int>(f.mss))
-        .set("max_cwnd", f.max_cwnd)
-        .set("media_max_bps", f.media_max_bps)
-        .set("media_start_bps", f.media_start_bps)
-        .set("fps", f.fps)
-        .set("frame_bitrate_bps", f.frame_bitrate_bps)
-        .set("keyframe_interval_s", f.keyframe_interval_s)
-        .set("keyframe_scale", f.keyframe_scale)
-        .set("frame_deadline_ms", f.frame_deadline_ms);
-    return j;
-}
-
-// --- family parsers / exporters ---------------------------------------------
-
-tcp_grid_family parse_tcp_grid(const std::string& origin, const stats::json& node)
-{
-    binder b(origin, node, "tcp_grid");
-    tcp_grid_family f;
-    f.seed_base = b.u64_or("seed_base", f.seed_base);
-    f.rtts_ms.clear();
-    for (const auto& v : b.array("rtts_ms").elements()) {
-        if (!v.is_number() || v.as_number() < 0.0 || v.as_number() > 10e3)
-            fail(origin, v.line(),
-                 "key \"tcp_grid.rtts_ms\" entries must be numbers in [0, 10000]");
-        f.rtts_ms.push_back(v.as_number());
+struct flag {
+    void bind(const site& s, bool& out) const
+    {
+        if (!s.value.is_bool()) s.fail("must be true or false");
+        out = s.value.as_bool();
     }
-    f.queues_sdus.clear();
-    for (const auto& v : b.array("queues_sdus").elements()) {
-        if (!v.is_number() || v.as_number() < 1 || v.as_number() > (1 << 30) ||
-            v.as_number() != std::floor(v.as_number()))
-            fail(origin, v.line(),
-                 "key \"tcp_grid.queues_sdus\" entries must be integers >= 1");
-        f.queues_sdus.push_back(static_cast<std::size_t>(v.as_number()));
+    stats::json emit(bool v) const { return v; }
+};
+
+struct str {
+    void bind(const site& s, std::string& out) const
+    {
+        if (!s.value.is_string()) s.fail("must be a string");
+        out = s.value.as_string();
     }
-    f.ue_counts.clear();
-    for (const auto& v : b.array("ue_counts").elements()) {
-        if (!v.is_number() || v.as_number() < 1 || v.as_number() > 4096 ||
-            v.as_number() != std::floor(v.as_number()))
-            fail(origin, v.line(),
-                 "key \"tcp_grid.ue_counts\" entries must be integers in [1, 4096]");
-        f.ue_counts.push_back(static_cast<int>(v.as_number()));
-    }
-    f.ccas.clear();
-    for (const auto& v : b.array("ccas").elements()) {
-        if (!v.is_string())
-            fail(origin, v.line(), "key \"tcp_grid.ccas\" entries must be strings");
-        f.ccas.push_back(v.as_string());
-    }
-    f.channels.clear();
-    for (const auto& v : b.array("channels").elements()) {
-        if (!v.is_string())
-            fail(origin, v.line(),
-                 "key \"tcp_grid.channels\" entries must be strings");
-        f.channels.push_back(v.as_string());
-    }
-    b.done();
-    return f;
+    stats::json emit(const std::string& v) const { return v; }
+};
+
+// A tick member carried as a decimal count of `unit` (ms or s). Rounding to
+// the nearest tick — unlike from_ms's truncation — makes tick -> decimal ->
+// tick the identity for every tick below 2^51 ns, which is what keeps
+// export -> parse -> export exact.
+sim::tick round_to_tick(double v, sim::tick unit)
+{
+    return static_cast<sim::tick>(std::llround(v * unit));
 }
 
-stats::json json_of_tcp_grid(const tcp_grid_family& f)
+struct ticks {
+    sim::tick unit;
+    double lo, hi;
+    void bind(const site& s, sim::tick& out) const
+    {
+        out = round_to_tick(in_range(s, lo, hi), unit);
+    }
+    stats::json emit(sim::tick t) const { return static_cast<double>(t) / unit; }
+};
+constexpr ticks millis(double lo, double hi) { return {sim::k_millisecond, lo, hi}; }
+
+// A stop time in ms; -1 means "run to the scenario end".
+struct stop_ms {
+    void bind(const site& s, sim::tick& out) const
+    {
+        const double ms = in_range(s, -1.0, 3600e3);
+        out = ms < 0.0 ? -1 : round_to_tick(ms, sim::k_millisecond);
+    }
+    stats::json emit(sim::tick t) const { return t < 0 ? -1.0 : sim::to_ms(t); }
+};
+
+template <class T>
+struct one_of {
+    const name_table<T>& names;
+    void bind(const site& s, T& out) const
+    {
+        if (!s.value.is_string()) s.fail("must be a string");
+        const T* v = names.find(s.value.as_string());
+        if (!v) s.fail(names.unknown(s.value.as_string()), ": ");
+        out = *v;
+    }
+    stats::json emit(const T& v) const
+    {
+        if constexpr (std::is_same_v<T, std::string>)
+            return v;
+        else
+            return names.name_of(v);
+    }
+};
+template <class T>
+one_of(const name_table<T>&) -> one_of<T>;
+
+// --- field tables --------------------------------------------------------------
+// One row per key: the key, where it lives and its codec. bind and emit
+// walk the same rows, so parsing and export cannot disagree on a key, its
+// order or its range; a key absent from the input keeps the member's own
+// default.
+
+template <class S>
+struct field {
+    const char* key;
+    bool required;  // a missing key is an error
+    void (*bind)(const site&, S&);
+    stats::json (*emit)(const S&);
+};
+template <class S>
+using table = std::vector<field<S>>;
+
+template <class C>
+bool required_of(const C& codec)
 {
-    auto j = stats::json::object();
-    j.set("seed_base", f.seed_base);
-    auto rtts = stats::json::array();
-    for (double v : f.rtts_ms) rtts.push(v);
-    j.set("rtts_ms", std::move(rtts));
-    auto queues = stats::json::array();
-    for (std::size_t v : f.queues_sdus) queues.push(static_cast<std::uint64_t>(v));
-    j.set("queues_sdus", std::move(queues));
-    auto ues = stats::json::array();
-    for (int v : f.ue_counts) ues.push(v);
-    j.set("ue_counts", std::move(ues));
-    auto ccas = stats::json::array();
-    for (const auto& v : f.ccas) ccas.push(v);
-    j.set("ccas", std::move(ccas));
-    auto chans = stats::json::array();
-    for (const auto& v : f.channels) chans.push(v);
-    j.set("channels", std::move(chans));
-    return j;
+    if constexpr (requires { codec.required; })
+        return codec.required;
+    else
+        return false;
 }
 
-shared_drb_family parse_shared_drb(const std::string& origin, const stats::json& node)
+// The struct a member pointer points into (declaration only).
+template <class S, class V>
+S owner_of(V S::*);
+
+template <auto Member, auto Codec, class S = decltype(owner_of(Member))>
+field<S> row(const char* key)
 {
-    binder b(origin, node, "shared_drb");
-    shared_drb_family f;
-    f.seed = b.u64_or("seed", f.seed);
-    const stats::json& strategies = b.array("strategies");
-    for (std::size_t i = 0; i < strategies.elements().size(); ++i) {
-        const std::string path = elem_path("shared_drb", "strategies", i);
-        binder sb(origin, strategies.elements()[i], path);
-        shared_drb_family::strategy st;
-        st.label = sb.str_or("label", "");
-        try {
-            st.policy = shared_drb_policy_by_name(
-                sb.str_or("policy", "coupled"));
-        } catch (const scenario_error& e) {
-            fail(origin, sb.line(), "key \"" + path + ".policy\": " + e.what());
+    return {key, required_of(Codec),
+            [](const site& s, S& obj) { Codec.bind(s, obj.*Member); },
+            [](const S& obj) { return Codec.emit(obj.*Member); }};
+}
+
+// A member of a member: the flow rows reach through flow::spec.
+template <auto Outer, auto Inner, auto Codec, class S = decltype(owner_of(Outer))>
+field<S> row(const char* key)
+{
+    return {key, required_of(Codec),
+            [](const site& s, S& obj) { Codec.bind(s, (obj.*Outer).*Inner); },
+            [](const S& obj) { return Codec.emit((obj.*Outer).*Inner); }};
+}
+
+template <class S>
+std::vector<std::string_view> keys_of(const table<S>& rows)
+{
+    std::vector<std::string_view> keys;
+    for (const auto& f : rows) keys.push_back(f.key);
+    return keys;
+}
+
+template <class S>
+void bind_fields(const std::string& origin, const stats::json& node,
+                 const std::string& path, const table<S>& rows, S& out)
+{
+    for (const auto& f : rows) {
+        const std::string key_path = path + "." + f.key;
+        if (const stats::json* v = node.find(f.key))
+            f.bind(site{origin, node.line(), key_path, *v}, out);
+        else if (f.required)
+            fail_at(origin, node.line(), "missing required key \"" + key_path + "\"");
+    }
+}
+
+// Unknown-key sweep: anything outside `known` is a typo worth naming, with
+// the valid keys so the fix is one glance.
+void reject_unknown(const std::string& origin, const stats::json& node,
+                    const std::string& path, const std::vector<std::string_view>& known)
+{
+    for (const auto& [key, value] : node.members())
+        if (std::find(known.begin(), known.end(), key) == known.end())
+            fail_at(origin, value.line() > 0 ? value.line() : node.line(),
+                    "unknown key \"" + path + "." + key + "\" (valid: " + join(known) +
+                        ")");
+}
+
+template <class S>
+void emit_fields(const table<S>& rows, const S& obj, stats::json& j)
+{
+    for (const auto& f : rows) j.set(f.key, f.emit(obj));
+}
+
+// Nested object, bound onto the member's current value: keys it omits keep
+// the enclosing struct's defaults.
+template <class S>
+struct object {
+    const table<S>& rows;
+    void bind(const site& s, S& out) const
+    {
+        if (!s.value.is_object()) s.fail("must be an object");
+        bind_fields(s.origin, s.value, s.path, rows, out);
+        reject_unknown(s.origin, s.value, s.path, keys_of(rows));
+    }
+    stats::json emit(const S& v) const
+    {
+        auto j = stats::json::object();
+        emit_fields(rows, v, j);
+        return j;
+    }
+};
+template <class S>
+object(const table<S>&) -> object<S>;
+
+// Array of `elem` values, each element starting from its type's defaults.
+template <class E>
+struct list {
+    E elem;
+    bool required = false;  // present and non-empty (a grid axis)
+
+    template <class T>
+    void bind(const site& s, std::vector<T>& out) const
+    {
+        if (!s.value.is_array()) s.fail("must be an array");
+        if (required && s.value.elements().empty()) s.fail("must not be empty");
+        out.clear();
+        for (std::size_t i = 0; i < s.value.elements().size(); ++i) {
+            const std::string path = s.path + "[" + std::to_string(i) + "]";
+            T v{};
+            elem.bind(site{s.origin, s.value.line(), path, s.value.elements()[i]}, v);
+            out.push_back(std::move(v));
         }
-        if (st.label.empty()) st.label = shared_drb_policy_name(st.policy);
-        sb.done();
-        f.strategies.push_back(std::move(st));
     }
-    b.done();
-    return f;
+    template <class T>
+    stats::json emit(const std::vector<T>& v) const
+    {
+        auto j = stats::json::array();
+        for (const auto& e : v) j.push(elem.emit(e));
+        return j;
+    }
+};
+template <class E>
+list(E) -> list<E>;
+template <class E>
+list(E, bool) -> list<E>;
+
+constexpr number k_probability{0.0, 1.0};
+constexpr number k_bps{0.0, 1e12};
+
+using topo::impairment_spec;
+// A per-flow policy is an impairment without policies of its own.
+const table<impairment_spec> k_flow_policy{
+    row<&impairment_spec::remark_ect1, k_probability>("remark_ect1"),
+    row<&impairment_spec::bleach_ce, k_probability>("bleach_ce"),
+    row<&impairment_spec::strip_ect, k_probability>("strip_ect"),
+    row<&impairment_spec::loss, k_probability>("loss"),
+    row<&impairment_spec::loss_burst, number{1.0, 1e6}>("loss_burst"),
+    row<&impairment_spec::reorder, k_probability>("reorder"),
+    row<&impairment_spec::reorder_gap, integer{1, 1 << 20}>("reorder_gap"),
+    row<&impairment_spec::reorder_hold_max, millis(0.0, 60e3)>("reorder_hold_max_ms"),
+    row<&impairment_spec::duplicate, k_probability>("duplicate"),
+    row<&impairment_spec::force_stage, flag{}>("force_stage"),
+};
+const table<impairment_spec> k_impairment = [] {
+    auto t = k_flow_policy;
+    t.push_back(row<&impairment_spec::flow_policies, list{object{k_flow_policy}}>(
+        "flow_policies"));
+    return t;
+}();
+
+using aqm::wred_dualq_config;
+using aqm::wred_profile;
+const table<wred_profile> k_wred_profile{
+    row<&wred_profile::min_bytes, integer{0, 1ll << 40}>("min_bytes"),
+    row<&wred_profile::max_bytes, integer{0, 1ll << 40}>("max_bytes"),
+    row<&wred_profile::max_p, k_probability>("max_p"),
+};
+const table<wred_dualq_config> k_wred{
+    row<&wred_dualq_config::l4s, object{k_wred_profile}>("l4s"),
+    row<&wred_dualq_config::classic, object{k_wred_profile}>("classic"),
+    row<&wred_dualq_config::ecn_drop_bytes, integer{0, 1ll << 40}>("ecn_drop_bytes"),
+    row<&wred_dualq_config::l4s_weight, integer{1, 1 << 20}>("l4s_weight"),
+    row<&wred_dualq_config::max_bytes, integer{1, 1ll << 40}>("max_bytes"),
+};
+
+using core::l4span_config;
+const table<l4span_config> k_l4s{
+    row<&l4span_config::sojourn_threshold, millis(0.1, 10e3)>("sojourn_threshold_ms"),
+    row<&l4span_config::coherence_time, millis(0.1, 10e3)>("coherence_time_ms"),
+    row<&l4span_config::short_circuit, flag{}>("short_circuit"),
+    row<&l4span_config::drop_non_ecn, flag{}>("drop_non_ecn"),
+    row<&l4span_config::error_aware, flag{}>("error_aware"),
+    row<&l4span_config::classic_beta, number{0.01, 0.99}>("classic_beta"),
+    row<&l4span_config::mss, integer{64, 65535}>("mss"),
+    row<&l4span_config::shared_policy, one_of{k_policies}>("shared_policy"),
+    row<&l4span_config::prune_horizon, millis(1.0, 3600e3)>("prune_horizon_ms"),
+};
+
+using topo::cross_traffic_spec;
+const table<cross_traffic_spec> k_cross{
+    row<&cross_traffic_spec::model, one_of{k_cross_models}>("model"),
+    row<&cross_traffic_spec::rate_bps, k_bps>("rate_bps"),
+    row<&cross_traffic_spec::pkt_bytes, integer{64, 65535}>("pkt_bytes"),
+    row<&cross_traffic_spec::ecn_field, one_of{k_ecn_codepoints}>("ecn"),
+    row<&cross_traffic_spec::start_time, millis(0.0, 3600e3)>("start_ms"),
+    row<&cross_traffic_spec::stop_time, stop_ms{}>("stop_ms"),
+    row<&cross_traffic_spec::uplink, flag{}>("uplink"),
+};
+
+const table<cell_spec> k_cell{
+    row<&cell_spec::num_ues, integer{1, 4096}>("num_ues"),
+    row<&cell_spec::channel, one_of{k_channels}>("channel"),
+    row<&cell_spec::rlc_queue_sdus, integer{1, 1 << 30}>("rlc_queue_sdus"),
+    row<&cell_spec::cu, one_of{k_cu_modes}>("cu"),
+    row<&cell_spec::seed, k_u64>("seed"),
+    row<&cell_spec::separate_drbs_per_class, flag{}>("separate_drbs_per_class"),
+    row<&cell_spec::bottleneck_bps, k_bps>("bottleneck_bps"),
+    row<&cell_spec::bottleneck_aqm, one_of{k_aqms}>("bottleneck_aqm"),
+    row<&cell_spec::wred, object{k_wred}>("wred"),
+    row<&cell_spec::ul_bottleneck_bps, k_bps>("ul_bottleneck_bps"),
+    row<&cell_spec::l4s, object{k_l4s}>("l4s"),
+    row<&cell_spec::impair_dl, object{k_impairment}>("impair_dl"),
+    row<&cell_spec::impair_ul, object{k_impairment}>("impair_ul"),
+    row<&cell_spec::cross_traffic, list{object{k_cross}}>("cross_traffic"),
+};
+
+using flow = cell_flows_family::flow;
+const table<flow> k_flow{
+    row<&flow::spec, &flow_spec::cca, str{}>("cca"),
+    row<&flow::spec, &flow_spec::ue, integer{0, 1 << 20}>("ue"),
+    row<&flow::count, integer{1, 4096}>("count"),
+    row<&flow::spec, &flow_spec::start_time, millis(0.0, 3600e3)>("start_ms"),
+    row<&flow::spec, &flow_spec::stop_time, stop_ms{}>("stop_ms"),
+    row<&flow::spec, &flow_spec::flow_bytes, k_u64>("flow_bytes"),
+    row<&flow::spec, &flow_spec::wired_owd_ms, number{0.0, 10e3}>("wired_owd_ms"),
+    row<&flow::spec, &flow_spec::mss, integer{64, 65535}>("mss"),
+    row<&flow::spec, &flow_spec::max_cwnd, k_u64>("max_cwnd"),
+    row<&flow::spec, &flow_spec::media_max_bps, k_bps>("media_max_bps"),
+    row<&flow::spec, &flow_spec::media_start_bps, k_bps>("media_start_bps"),
+    row<&flow::spec, &flow_spec::fps, number{0.0, 1e3}>("fps"),
+    row<&flow::spec, &flow_spec::frame_bitrate_bps, k_bps>("frame_bitrate_bps"),
+    row<&flow::spec, &flow_spec::keyframe_interval_s, number{0.01, 3600.0}>(
+        "keyframe_interval_s"),
+    row<&flow::spec, &flow_spec::keyframe_scale, number{1.0, 1e3}>("keyframe_scale"),
+    row<&flow::spec, &flow_spec::frame_deadline_ms, number{0.1, 10e3}>(
+        "frame_deadline_ms"),
+};
+
+// --- family blocks -------------------------------------------------------------
+
+const table<tcp_grid_family> k_tcp_grid{
+    row<&tcp_grid_family::seed_base, k_u64>("seed_base"),
+    row<&tcp_grid_family::rtts_ms, list{number{0.0, 10e3}, true}>("rtts_ms"),
+    row<&tcp_grid_family::queues_sdus, list{integer{1, 1 << 30}, true}>("queues_sdus"),
+    row<&tcp_grid_family::ue_counts, list{integer{1, 4096}, true}>("ue_counts"),
+    row<&tcp_grid_family::ccas, list{str{}, true}>("ccas"),
+    row<&tcp_grid_family::channels, list{one_of{k_channels}, true}>("channels"),
+};
+
+using strategy = shared_drb_family::strategy;
+const table<strategy> k_strategy{
+    row<&strategy::label, str{}>("label"),
+    row<&strategy::policy, one_of{k_policies}>("policy"),
+};
+const table<shared_drb_family> k_shared_drb{
+    row<&shared_drb_family::seed, k_u64>("seed"),
+    row<&shared_drb_family::strategies, list{object{k_strategy}, true}>("strategies"),
+};
+
+using ecn_transport = ecn_impairment_family::transport;
+using ecn_profile = ecn_impairment_family::profile;
+const table<ecn_transport> k_ecn_transport{
+    row<&ecn_transport::cca, str{}>("cca"),
+    row<&ecn_transport::label, str{}>("label"),
+};
+const table<ecn_profile> k_ecn_profile{
+    row<&ecn_profile::name, str{}>("name"),
+    row<&ecn_profile::drop_non_ecn, flag{}>("drop_non_ecn"),
+    row<&ecn_profile::impair, object{k_impairment}>("impair"),
+};
+const table<ecn_impairment_family> k_ecn_impairment{
+    row<&ecn_impairment_family::seed, k_u64>("seed"),
+    row<&ecn_impairment_family::ues, integer{1, 4096}>("ues"),
+    row<&ecn_impairment_family::bottleneck_bps, number{1e3, 1e12}>("bottleneck_bps"),
+    row<&ecn_impairment_family::bottleneck_aqm, one_of{k_aqms}>("bottleneck_aqm"),
+    row<&ecn_impairment_family::cross_rate_bps, k_bps>("cross_rate_bps"),
+    row<&ecn_impairment_family::cross_options, list{flag{}, true}>("cross_options"),
+    row<&ecn_impairment_family::ccas, list{object{k_ecn_transport}, true}>("ccas"),
+    row<&ecn_impairment_family::profiles, list{object{k_ecn_profile}, true}>("profiles"),
+};
+
+using fault_profile = fault_chaos_family::profile;
+using fault_transport = fault_chaos_family::transport;
+constexpr number k_fault_rate{0.0, 100.0};
+const table<fault_profile> k_fault_profile{
+    row<&fault_profile::name, str{}>("name"),
+    row<&fault_profile::rlf_per_ue_per_sec, k_fault_rate>("rlf_per_ue_per_sec"),
+    row<&fault_profile::ho_failure_per_ue_per_sec, k_fault_rate>(
+        "ho_failure_per_ue_per_sec"),
+    row<&fault_profile::outages_per_cell_per_sec, k_fault_rate>(
+        "outages_per_cell_per_sec"),
+    row<&fault_profile::flaps_per_cell_per_sec, k_fault_rate>("flaps_per_cell_per_sec"),
+};
+const table<fault_transport> k_fault_transport{
+    row<&fault_transport::cca, str{}>("cca"),
+    row<&fault_transport::media, flag{}>("media"),
+};
+const table<fault_chaos_family> k_fault_chaos{
+    row<&fault_chaos_family::num_cells, integer{1, 64}>("num_cells"),
+    row<&fault_chaos_family::ues_per_cell, integer{1, 256}>("ues_per_cell"),
+    row<&fault_chaos_family::cell_seed, k_u64>("cell_seed"),
+    row<&fault_chaos_family::wired_bps, number{1e3, 1e12}>("wired_bps"),
+    row<&fault_chaos_family::fault_seed, k_u64>("fault_seed"),
+    row<&fault_chaos_family::fault_start_ms, number{0.0, 3600e3}>("fault_start_ms"),
+    row<&fault_chaos_family::fault_end_margin_ms, number{0.0, 3600e3}>(
+        "fault_end_margin_ms"),
+    row<&fault_chaos_family::profiles, list{object{k_fault_profile}, true}>("profiles"),
+    row<&fault_chaos_family::transports, list{object{k_fault_transport}, true}>(
+        "transports"),
+};
+
+const table<cell_flows_family> k_cell_flows{
+    row<&cell_flows_family::seeds, list{k_u64, true}>("seeds"),
+    row<&cell_flows_family::cell, object{k_cell}>("cell"),
+    row<&cell_flows_family::flows, list{object{k_flow}, true}>("flows"),
+};
+
+// The document's own keys, after "schema" and before the family section.
+const table<scenario_spec> k_document{
+    row<&scenario_spec::figure, str{}>("figure"),
+    row<&scenario_spec::title, str{}>("title"),
+    row<&scenario_spec::paper_ref, str{}>("paper_ref"),
+    row<&scenario_spec::quick, flag{}>("quick"),
+    row<&scenario_spec::duration, ticks{sim::k_second, 0.001, 3600.0}>("duration_s"),
+    row<&scenario_spec::family, str{}>("family"),
+};
+
+// One experiment family: its parameter block (keyed by the family name),
+// defaults derived from other keys after binding, and semantic checks.
+struct family_block {
+    field<scenario_spec> section;
+    void (*fill)(scenario_spec&);
+    void (*check)(const scenario_spec&);
+};
+
+template <auto Block, const auto& Rows>
+std::pair<std::string, family_block> family_entry(const char* name,
+                                                  void (*fill)(scenario_spec&),
+                                                  void (*check)(const scenario_spec&))
+{
+    return {name, {row<Block, object{Rows}>(name), fill, check}};
 }
 
-stats::json json_of_shared_drb(const shared_drb_family& f)
+std::string default_profile_name(std::size_t i)
 {
-    auto j = stats::json::object();
-    j.set("seed", f.seed);
-    auto strategies = stats::json::array();
-    for (const auto& st : f.strategies) {
-        auto js = stats::json::object();
-        js.set("label", st.label).set("policy", shared_drb_policy_name(st.policy));
-        strategies.push(std::move(js));
-    }
-    j.set("strategies", std::move(strategies));
-    return j;
+    return "profile" + std::to_string(i);
 }
 
-ecn_impairment_family parse_ecn_impairment(const std::string& origin,
-                                           const stats::json& node)
-{
-    binder b(origin, node, "ecn_impairment");
-    ecn_impairment_family f;
-    f.seed = b.u64_or("seed", f.seed);
-    f.ues = static_cast<int>(b.int_or("ues", f.ues, 1, 4096));
-    f.bottleneck_bps = b.num_or("bottleneck_bps", f.bottleneck_bps, 1e3, 1e12);
-    f.bottleneck_aqm = b.str_or("bottleneck_aqm", f.bottleneck_aqm);
-    if (f.bottleneck_aqm != "fifo" && f.bottleneck_aqm != "dualpi2" &&
-        f.bottleneck_aqm != "wred")
-        fail(origin, b.line(),
-             "key \"ecn_impairment.bottleneck_aqm\": unknown AQM \"" +
-                 f.bottleneck_aqm + "\" (valid: fifo, dualpi2, wred)");
-    f.cross_rate_bps = b.num_or("cross_rate_bps", f.cross_rate_bps, 0.0, 1e12);
-    f.cross_options.clear();
-    for (const auto& v : b.array("cross_options").elements()) {
-        if (!v.is_bool())
-            fail(origin, v.line(),
-                 "key \"ecn_impairment.cross_options\" entries must be booleans");
-        f.cross_options.push_back(v.as_bool());
-    }
-    const stats::json& ccas = b.array("ccas");
-    for (std::size_t i = 0; i < ccas.elements().size(); ++i) {
-        const std::string path = elem_path("ecn_impairment", "ccas", i);
-        binder cb(origin, ccas.elements()[i], path);
-        ecn_impairment_family::transport t;
-        t.cca = cb.str_or("cca", "prague");
-        t.label = cb.str_or("label", t.cca);
-        cb.done();
-        f.ccas.push_back(std::move(t));
-    }
-    const stats::json& profiles = b.array("profiles");
-    for (std::size_t i = 0; i < profiles.elements().size(); ++i) {
-        const std::string path = elem_path("ecn_impairment", "profiles", i);
-        binder pb(origin, profiles.elements()[i], path);
-        ecn_impairment_family::profile p;
-        p.name = pb.str_or("name", "profile" + std::to_string(i));
-        p.drop_non_ecn = pb.bool_or("drop_non_ecn", false);
-        if (const stats::json* imp = pb.object("impair"))
-            p.impair = parse_impairment(origin, *imp, path + ".impair", true);
-        pb.done();
-        f.profiles.push_back(std::move(p));
-    }
-    b.done();
-    return f;
-}
-
-stats::json json_of_ecn_impairment(const ecn_impairment_family& f)
-{
-    auto j = stats::json::object();
-    j.set("seed", f.seed)
-        .set("ues", f.ues)
-        .set("bottleneck_bps", f.bottleneck_bps)
-        .set("bottleneck_aqm", f.bottleneck_aqm)
-        .set("cross_rate_bps", f.cross_rate_bps);
-    auto cross = stats::json::array();
-    for (bool v : f.cross_options) cross.push(v);
-    j.set("cross_options", std::move(cross));
-    auto ccas = stats::json::array();
-    for (const auto& t : f.ccas) {
-        auto jt = stats::json::object();
-        jt.set("cca", t.cca).set("label", t.label);
-        ccas.push(std::move(jt));
-    }
-    j.set("ccas", std::move(ccas));
-    auto profiles = stats::json::array();
-    for (const auto& p : f.profiles) {
-        auto jp = stats::json::object();
-        jp.set("name", p.name)
-            .set("drop_non_ecn", p.drop_non_ecn)
-            .set("impair", json_of_impairment(p.impair, true));
-        profiles.push(std::move(jp));
-    }
-    j.set("profiles", std::move(profiles));
-    return j;
-}
-
-fault_chaos_family parse_fault_chaos(const std::string& origin,
-                                     const stats::json& node)
-{
-    binder b(origin, node, "fault_chaos");
-    fault_chaos_family f;
-    f.num_cells = static_cast<int>(b.int_or("num_cells", f.num_cells, 1, 64));
-    f.ues_per_cell = static_cast<int>(b.int_or("ues_per_cell", f.ues_per_cell, 1, 256));
-    f.cell_seed = b.u64_or("cell_seed", f.cell_seed);
-    f.wired_bps = b.num_or("wired_bps", f.wired_bps, 1e3, 1e12);
-    f.fault_seed = b.u64_or("fault_seed", f.fault_seed);
-    f.fault_start_ms = b.num_or("fault_start_ms", f.fault_start_ms, 0.0, 3600e3);
-    f.fault_end_margin_ms =
-        b.num_or("fault_end_margin_ms", f.fault_end_margin_ms, 0.0, 3600e3);
-    const stats::json& profiles = b.array("profiles");
-    for (std::size_t i = 0; i < profiles.elements().size(); ++i) {
-        const std::string path = elem_path("fault_chaos", "profiles", i);
-        binder pb(origin, profiles.elements()[i], path);
-        fault_chaos_family::profile p;
-        p.name = pb.str_or("name", "profile" + std::to_string(i));
-        p.rlf_per_ue_per_sec = pb.num_or("rlf_per_ue_per_sec", 0.0, 0.0, 100.0);
-        p.ho_failure_per_ue_per_sec =
-            pb.num_or("ho_failure_per_ue_per_sec", 0.0, 0.0, 100.0);
-        p.outages_per_cell_per_sec =
-            pb.num_or("outages_per_cell_per_sec", 0.0, 0.0, 100.0);
-        p.flaps_per_cell_per_sec =
-            pb.num_or("flaps_per_cell_per_sec", 0.0, 0.0, 100.0);
-        pb.done();
-        f.profiles.push_back(std::move(p));
-    }
-    const stats::json& transports = b.array("transports");
-    for (std::size_t i = 0; i < transports.elements().size(); ++i) {
-        const std::string path = elem_path("fault_chaos", "transports", i);
-        binder tb(origin, transports.elements()[i], path);
-        fault_chaos_family::transport t;
-        t.cca = tb.str_or("cca", "prague");
-        t.media = tb.bool_or("media", false);
-        tb.done();
-        f.transports.push_back(std::move(t));
-    }
-    b.done();
-    return f;
-}
-
-stats::json json_of_fault_chaos(const fault_chaos_family& f)
-{
-    auto j = stats::json::object();
-    j.set("num_cells", f.num_cells)
-        .set("ues_per_cell", f.ues_per_cell)
-        .set("cell_seed", f.cell_seed)
-        .set("wired_bps", f.wired_bps)
-        .set("fault_seed", f.fault_seed)
-        .set("fault_start_ms", f.fault_start_ms)
-        .set("fault_end_margin_ms", f.fault_end_margin_ms);
-    auto profiles = stats::json::array();
-    for (const auto& p : f.profiles) {
-        auto jp = stats::json::object();
-        jp.set("name", p.name)
-            .set("rlf_per_ue_per_sec", p.rlf_per_ue_per_sec)
-            .set("ho_failure_per_ue_per_sec", p.ho_failure_per_ue_per_sec)
-            .set("outages_per_cell_per_sec", p.outages_per_cell_per_sec)
-            .set("flaps_per_cell_per_sec", p.flaps_per_cell_per_sec);
-        profiles.push(std::move(jp));
-    }
-    j.set("profiles", std::move(profiles));
-    auto transports = stats::json::array();
-    for (const auto& t : f.transports) {
-        auto jt = stats::json::object();
-        jt.set("cca", t.cca).set("media", t.media);
-        transports.push(std::move(jt));
-    }
-    j.set("transports", std::move(transports));
-    return j;
-}
-
-cell_flows_family parse_cell_flows(const std::string& origin,
-                                   const stats::json& node)
-{
-    binder b(origin, node, "cell_flows");
-    cell_flows_family f;
-    f.seeds.clear();
-    for (const auto& v : b.array("seeds").elements()) {
-        if (!v.is_number() || v.as_number() < 0 || v.as_number() > k_max_exact ||
-            v.as_number() != std::floor(v.as_number()))
-            fail(origin, v.line(),
-                 "key \"cell_flows.seeds\" entries must be non-negative integers");
-        f.seeds.push_back(static_cast<std::uint64_t>(v.as_number()));
-    }
-    if (const stats::json* c = b.object("cell"))
-        f.cell = parse_cell(origin, *c, "cell_flows.cell");
-    const stats::json& flows = b.array("flows");
-    for (std::size_t i = 0; i < flows.elements().size(); ++i) {
-        cell_flows_family::flow fl;
-        fl.spec = parse_flow(origin, flows.elements()[i],
-                             elem_path("cell_flows", "flows", i), &fl.count);
-        f.flows.push_back(std::move(fl));
-    }
-    b.done();
-    return f;
-}
-
-stats::json json_of_cell_flows(const cell_flows_family& f)
-{
-    auto j = stats::json::object();
-    auto seeds = stats::json::array();
-    for (std::uint64_t v : f.seeds) seeds.push(v);
-    j.set("seeds", std::move(seeds));
-    j.set("cell", json_of_cell(f.cell));
-    auto flows = stats::json::array();
-    for (const auto& fl : f.flows) flows.push(json_of_flow(fl.spec, fl.count));
-    j.set("flows", std::move(flows));
-    return j;
-}
+const name_table<family_block> k_families{
+    "family",
+    {family_entry<&scenario_spec::tcp_grid, k_tcp_grid>("tcp_grid", nullptr,
+            [](const scenario_spec& s) {
+                const auto& g = s.tcp_grid;
+                require(!g.rtts_ms.empty() && !g.queues_sdus.empty() &&
+                            !g.ue_counts.empty() && !g.ccas.empty() &&
+                            !g.channels.empty(),
+                        "tcp_grid: every axis (rtts_ms, queues_sdus, ue_counts, "
+                        "ccas, channels) needs at least one entry");
+            }),
+     family_entry<&scenario_spec::shared_drb, k_shared_drb>("shared_drb",
+            [](scenario_spec& s) {
+                for (auto& st : s.shared_drb.strategies)
+                    if (st.label.empty()) st.label = k_policies.name_of(st.policy);
+            },
+            [](const scenario_spec& s) {
+                require(!s.shared_drb.strategies.empty(),
+                        "shared_drb.strategies needs at least one entry");
+            }),
+     family_entry<&scenario_spec::ecn_impairment, k_ecn_impairment>("ecn_impairment",
+            [](scenario_spec& s) {
+                auto& f = s.ecn_impairment;
+                for (auto& t : f.ccas)
+                    if (t.label.empty()) t.label = t.cca;
+                for (std::size_t i = 0; i < f.profiles.size(); ++i)
+                    if (f.profiles[i].name.empty())
+                        f.profiles[i].name = default_profile_name(i);
+            },
+            [](const scenario_spec& s) {
+                const auto& f = s.ecn_impairment;
+                require(!f.ccas.empty() && !f.profiles.empty() &&
+                            !f.cross_options.empty(),
+                        "ecn_impairment: ccas, profiles and cross_options each need "
+                        "at least one entry");
+                for (std::size_t i = 0; i < f.profiles.size(); ++i)
+                    f.profiles[i].impair.validate("ecn_impairment.profiles[" +
+                                                  std::to_string(i) + "].impair");
+            }),
+     family_entry<&scenario_spec::fault_chaos, k_fault_chaos>("fault_chaos",
+            [](scenario_spec& s) {
+                auto& profiles = s.fault_chaos.profiles;
+                for (std::size_t i = 0; i < profiles.size(); ++i)
+                    if (profiles[i].name.empty())
+                        profiles[i].name = default_profile_name(i);
+            },
+            [](const scenario_spec& s) {
+                const auto& f = s.fault_chaos;
+                require(!f.profiles.empty() && !f.transports.empty(),
+                        "fault_chaos: profiles and transports each need at least one "
+                        "entry");
+                require(sim::from_ms(f.fault_start_ms) +
+                                sim::from_ms(f.fault_end_margin_ms) <
+                            s.duration,
+                        "fault_chaos: fault_start_ms + fault_end_margin_ms must leave a "
+                        "non-empty fault window inside duration_s");
+            }),
+     family_entry<&scenario_spec::cell_flows, k_cell_flows>("cell_flows", nullptr,
+            [](const scenario_spec& s) {
+                const auto& f = s.cell_flows;
+                require(!f.seeds.empty(), "cell_flows.seeds needs at least one entry");
+                require(!f.flows.empty(), "cell_flows.flows needs at least one entry");
+                f.cell.impair_dl.validate("cell_flows.cell.impair_dl");
+                f.cell.impair_ul.validate("cell_flows.cell.impair_ul");
+                f.cell.wred.validate("cell_flows.cell.wred");
+                for (std::size_t i = 0; i < f.cell.cross_traffic.size(); ++i)
+                    f.cell.cross_traffic[i].validate("cell_flows.cell.cross_traffic[" +
+                                                     std::to_string(i) + "]");
+                for (const auto& fl : f.flows)
+                    require(fl.spec.ue + fl.count <= f.cell.num_ues,
+                            "cell_flows.flows: flow on ue " + std::to_string(fl.spec.ue) +
+                                " with count " + std::to_string(fl.count) +
+                                " exceeds cell.num_ues (" +
+                                std::to_string(f.cell.num_ues) + ")");
+            })}};
 
 }  // namespace
 
 std::string shared_drb_policy_name(core::shared_drb_policy p)
 {
-    switch (p) {
-        case core::shared_drb_policy::original: return "original";
-        case core::shared_drb_policy::l4s_all: return "l4s_all";
-        case core::shared_drb_policy::classic_all: return "classic_all";
-        case core::shared_drb_policy::coupled: return "coupled";
-    }
-    return "coupled";
+    return k_policies.name_of(p);
 }
 
 core::shared_drb_policy shared_drb_policy_by_name(const std::string& name)
 {
-    if (name == "original") return core::shared_drb_policy::original;
-    if (name == "l4s_all") return core::shared_drb_policy::l4s_all;
-    if (name == "classic_all") return core::shared_drb_policy::classic_all;
-    if (name == "coupled") return core::shared_drb_policy::coupled;
-    throw scenario_error("unknown shared-DRB policy \"" + name +
-                         "\" (valid: original, l4s_all, classic_all, coupled)");
+    if (const auto* p = k_policies.find(name)) return *p;
+    throw scenario_error(k_policies.unknown(name));
 }
 
 void scenario_spec::validate() const
 {
-    const auto require = [](bool ok, const std::string& msg) {
-        if (!ok) throw scenario_error(msg);
-    };
     require(duration > 0, "duration_s must be > 0");
-    if (family == "tcp_grid") {
-        require(!tcp_grid.rtts_ms.empty() && !tcp_grid.queues_sdus.empty() &&
-                    !tcp_grid.ue_counts.empty() && !tcp_grid.ccas.empty() &&
-                    !tcp_grid.channels.empty(),
-                "tcp_grid: every axis (rtts_ms, queues_sdus, ue_counts, ccas, "
-                "channels) needs at least one entry");
-    } else if (family == "shared_drb") {
-        require(!shared_drb.strategies.empty(),
-                "shared_drb.strategies needs at least one entry");
-    } else if (family == "ecn_impairment") {
-        require(!ecn_impairment.ccas.empty() && !ecn_impairment.profiles.empty() &&
-                    !ecn_impairment.cross_options.empty(),
-                "ecn_impairment: ccas, profiles and cross_options each need at "
-                "least one entry");
-        try {
-            for (std::size_t i = 0; i < ecn_impairment.profiles.size(); ++i)
-                ecn_impairment.profiles[i].impair.validate(
-                    "ecn_impairment.profiles[" + std::to_string(i) + "].impair");
-        } catch (const std::invalid_argument& e) {
-            throw scenario_error(e.what());
-        }
-    } else if (family == "fault_chaos") {
-        require(!fault_chaos.profiles.empty() && !fault_chaos.transports.empty(),
-                "fault_chaos: profiles and transports each need at least one "
-                "entry");
-        require(sim::from_ms(fault_chaos.fault_start_ms) +
-                        sim::from_ms(fault_chaos.fault_end_margin_ms) <
-                    duration,
-                "fault_chaos: fault_start_ms + fault_end_margin_ms must leave a "
-                "non-empty fault window inside duration_s");
-    } else if (family == "cell_flows") {
-        require(!cell_flows.seeds.empty(), "cell_flows.seeds needs at least one entry");
-        require(!cell_flows.flows.empty(), "cell_flows.flows needs at least one entry");
-        try {
-            cell_flows.cell.impair_dl.validate("cell_flows.cell.impair_dl");
-            cell_flows.cell.impair_ul.validate("cell_flows.cell.impair_ul");
-            cell_flows.cell.wred.validate("cell_flows.cell.wred");
-            for (std::size_t i = 0; i < cell_flows.cell.cross_traffic.size(); ++i)
-                cell_flows.cell.cross_traffic[i].validate(
-                    "cell_flows.cell.cross_traffic[" + std::to_string(i) + "]");
-        } catch (const std::invalid_argument& e) {
-            throw scenario_error(e.what());
-        }
-        for (const auto& fl : cell_flows.flows)
-            require(fl.spec.ue + fl.count <= cell_flows.cell.num_ues,
-                    "cell_flows.flows: flow on ue " + std::to_string(fl.spec.ue) +
-                        " with count " + std::to_string(fl.count) +
-                        " exceeds cell.num_ues (" +
-                        std::to_string(cell_flows.cell.num_ues) + ")");
-    } else {
-        throw scenario_error("unknown family \"" + family +
-                             "\" (valid: tcp_grid, shared_drb, ecn_impairment, "
-                             "fault_chaos, cell_flows)");
+    const family_block* fam = k_families.find(family);
+    if (!fam) throw scenario_error(k_families.unknown(family));
+    try {
+        fam->check(*this);
+    } catch (const std::invalid_argument& e) {
+        throw scenario_error(e.what());
     }
 }
 
@@ -911,58 +684,40 @@ scenario_spec parse_scenario_text(std::string_view text, const std::string& orig
     } catch (const stats::json_parse_error& e) {
         throw scenario_error(origin + ": " + e.what());
     }
-    binder b(origin, doc, "$");
-    scenario_spec spec;
-    const std::string schema = b.str_or("schema", "");
+    if (!doc.is_object()) fail_at(origin, doc.line(), "\"$\" must be an object");
+    std::string schema;
+    if (const stats::json* v = doc.find("schema"))
+        str{}.bind(site{origin, doc.line(), "$.schema", *v}, schema);
     if (schema != k_scenario_schema)
-        fail(origin, doc.line(),
-             "key \"$.schema\" must be \"" + std::string(k_scenario_schema) +
-                 "\", got \"" + schema + "\"");
-    spec.figure = b.str_or("figure", "scenario");
-    spec.title = b.str_or("title", "scenario");
-    spec.paper_ref = b.str_or("paper_ref", "custom scenario");
-    spec.quick = b.bool_or("quick", false);
-    spec.duration = sec_to_tick(b.num_or("duration_s", 0.0, 0.001, 3600.0));
-    spec.family = b.str_or("family", "");
-    const stats::json* section = nullptr;
-    if (spec.family == "tcp_grid") {
-        section = b.object("tcp_grid");
-        if (section) spec.tcp_grid = parse_tcp_grid(origin, *section);
-    } else if (spec.family == "shared_drb") {
-        section = b.object("shared_drb");
-        if (section) spec.shared_drb = parse_shared_drb(origin, *section);
-    } else if (spec.family == "ecn_impairment") {
-        section = b.object("ecn_impairment");
-        if (section) spec.ecn_impairment = parse_ecn_impairment(origin, *section);
-    } else if (spec.family == "fault_chaos") {
-        section = b.object("fault_chaos");
-        if (section) spec.fault_chaos = parse_fault_chaos(origin, *section);
-    } else if (spec.family == "cell_flows") {
-        section = b.object("cell_flows");
-        if (section) spec.cell_flows = parse_cell_flows(origin, *section);
-    } else {
-        fail(origin, doc.line(),
-             "key \"$.family\": unknown family \"" + spec.family +
-                 "\" (valid: tcp_grid, shared_drb, ecn_impairment, fault_chaos, "
-                 "cell_flows)");
-    }
+        fail_at(origin, doc.line(),
+                "key \"$.schema\" must be \"" + std::string(k_scenario_schema) +
+                    "\", got \"" + schema + "\"");
+    scenario_spec spec;
+    bind_fields(origin, doc, "$", k_document, spec);
+    const family_block* fam = k_families.find(spec.family);
+    if (!fam)
+        fail_at(origin, doc.line(),
+                "key \"$.family\": " + k_families.unknown(spec.family));
+    const stats::json* section = doc.find(spec.family);
     if (!section)
-        fail(origin, doc.line(),
-             "missing section \"$." + spec.family +
-                 "\" (the family names its parameter block)");
-    // The other four family keys must not also be present: two parameter
-    // blocks with one family selector is a scenario that silently ignores
-    // half its content — diagnose instead.
-    for (const char* other : {"tcp_grid", "shared_drb", "ecn_impairment",
-                              "fault_chaos", "cell_flows"}) {
-        if (other == spec.family) continue;
-        if (const stats::json* stray = b.opt(other))
-            fail(origin, stray->line(),
-                 "section \"$." + std::string(other) +
-                     "\" present but family is \"" + spec.family +
-                     "\" — remove it or change $.family");
+        fail_at(origin, doc.line(),
+                "missing section \"$." + spec.family +
+                    "\" (the family names its parameter block)");
+    fam->section.bind(site{origin, doc.line(), spec.family, *section}, spec);
+    if (fam->fill) fam->fill(spec);
+    // Two parameter blocks with one family selector is a scenario that
+    // silently ignores half its content — diagnose instead.
+    std::vector<std::string_view> known{"schema"};
+    for (std::string_view k : keys_of(k_document)) known.push_back(k);
+    for (const auto& [name, block] : k_families.entries) {
+        known.push_back(name);
+        if (name == spec.family) continue;
+        if (const stats::json* stray = doc.find(name))
+            fail_at(origin, stray->line(),
+                    "section \"$." + name + "\" present but family is \"" + spec.family +
+                        "\" — remove it or change $.family");
     }
-    b.done();
+    reject_unknown(origin, doc, "$", known);
     try {
         spec.validate();
     } catch (const scenario_error& e) {
@@ -981,27 +736,13 @@ scenario_spec load_scenario_file(const std::string& path)
 
 stats::json export_scenario(const scenario_spec& spec)
 {
+    const family_block* fam = k_families.find(spec.family);
+    if (!fam)
+        throw scenario_error("export_scenario: unknown family \"" + spec.family + "\"");
     auto j = stats::json::object();
-    j.set("schema", k_scenario_schema)
-        .set("figure", spec.figure)
-        .set("title", spec.title)
-        .set("paper_ref", spec.paper_ref)
-        .set("quick", spec.quick)
-        .set("duration_s", sim::to_sec(spec.duration))
-        .set("family", spec.family);
-    if (spec.family == "tcp_grid")
-        j.set("tcp_grid", json_of_tcp_grid(spec.tcp_grid));
-    else if (spec.family == "shared_drb")
-        j.set("shared_drb", json_of_shared_drb(spec.shared_drb));
-    else if (spec.family == "ecn_impairment")
-        j.set("ecn_impairment", json_of_ecn_impairment(spec.ecn_impairment));
-    else if (spec.family == "fault_chaos")
-        j.set("fault_chaos", json_of_fault_chaos(spec.fault_chaos));
-    else if (spec.family == "cell_flows")
-        j.set("cell_flows", json_of_cell_flows(spec.cell_flows));
-    else
-        throw scenario_error("export_scenario: unknown family \"" + spec.family +
-                             "\"");
+    j.set("schema", k_scenario_schema);
+    emit_fields(k_document, spec, j);
+    j.set(spec.family, fam->section.emit(spec));
     return j;
 }
 

@@ -62,7 +62,7 @@ struct tcp_grid_family {
 // Fig. 16 shared-DRB marking strategies (bench_fig16_shared_drb).
 struct shared_drb_family {
     struct strategy {
-        std::string label;
+        std::string label;  // parsed empty or absent: the policy name
         core::shared_drb_policy policy = core::shared_drb_policy::coupled;
     };
     std::uint64_t seed = 71;
@@ -72,13 +72,13 @@ struct shared_drb_family {
 // Adversarial wired-path grid (bench_ecn_impairment).
 struct ecn_impairment_family {
     struct profile {
-        std::string name;
+        std::string name;  // parsed empty or absent: "profile<index>"
         bool drop_non_ecn = false;  // arm L4Span's drop-based fallback
         topo::impairment_spec impair;
     };
     struct transport {
-        std::string cca;    // flow_spec CCA name (prague, quic-prague, ...)
-        std::string label;  // row label (tcp-prague, ...)
+        std::string cca = "prague";  // flow_spec CCA name (prague, quic-prague, ...)
+        std::string label;           // row label (tcp-prague, ...); parsed empty: the CCA
     };
     std::uint64_t seed = 71;
     int ues = 4;
@@ -93,14 +93,14 @@ struct ecn_impairment_family {
 // Multi-cell fault-injection grid (bench_fault_chaos).
 struct fault_chaos_family {
     struct profile {
-        std::string name;
+        std::string name;  // parsed empty or absent: "profile<index>"
         double rlf_per_ue_per_sec = 0.0;
         double ho_failure_per_ue_per_sec = 0.0;
         double outages_per_cell_per_sec = 0.0;
         double flaps_per_cell_per_sec = 0.0;
     };
     struct transport {
-        std::string cca;
+        std::string cca = "prague";
         bool media = false;  // frame-paced interactive source on top
     };
     int num_cells = 3;
@@ -131,12 +131,12 @@ struct cell_flows_family {
 // --- the scenario document --------------------------------------------------
 
 struct scenario_spec {
-    std::string figure;     // summary JSON "figure" tag (fig09, ...)
-    std::string title;      // banner line
-    std::string paper_ref;  // banner "reproduces:" line
-    std::string family;     // which block below is active
-    bool quick = false;     // documents which slice this file describes
-    sim::tick duration = 0; // per-grid-point simulated time
+    std::string figure = "scenario";            // summary JSON "figure" tag (fig09, ...)
+    std::string title = "scenario";             // banner line
+    std::string paper_ref = "custom scenario";  // banner "reproduces:" line
+    std::string family;                         // which block below is active
+    bool quick = false;      // documents which slice this file describes
+    sim::tick duration = 0;  // per-grid-point simulated time
 
     tcp_grid_family tcp_grid;
     shared_drb_family shared_drb;

@@ -5,9 +5,10 @@
 // Diagnostics must name the offending key, and export -> parse -> export
 // must be the exact identity on bytes — including for a programmatically
 // built cell_flows spec exercising the WRED surface, which no compiled-in
-// bench produces.
+// bench produces. The fuzz vocabulary and the docs/SCENARIOS.md coverage
+// check both come from the schema's own key set.
 #include <cstdint>
-#include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -55,11 +56,16 @@ scenario_spec wred_cell_flows_spec()
     s.cell_flows.seeds = {7, 8};
     auto& cell = s.cell_flows.cell;
     cell.num_ues = 4;
+    cell.bottleneck_bps = 40e6;
     cell.bottleneck_aqm = "wred";
     cell.wred.l4s = {4 * 1514, 32 * 1514, 1.0};
     cell.wred.classic = {16 * 1514, 128 * 1514, 0.08};
     cell.wred.ecn_drop_bytes = 1 << 20;
     cell.wred.l4s_weight = 8;
+    topo::cross_traffic_spec cross;
+    cross.model = "cbr";
+    cross.rate_bps = 5e6;
+    cell.cross_traffic.push_back(cross);
     scenario::cell_flows_family::flow f;
     f.spec.cca = "prague";
     f.spec.ue = 0;
@@ -71,6 +77,39 @@ scenario_spec wred_cell_flows_spec()
     g.count = 1;
     s.cell_flows.flows.push_back(g);
     return s;
+}
+
+// Every builtin in both forms plus the WRED spec: between them they reach
+// every object of the schema.
+std::vector<scenario_spec> all_specs()
+{
+    std::vector<scenario_spec> specs;
+    for (const char* name : {"fig09", "fig16", "ecn_impairment", "fault_chaos"}) {
+        specs.push_back(builtin_scenario(name, false));
+        specs.push_back(builtin_scenario(name, true));
+    }
+    specs.push_back(wred_cell_flows_spec());
+    return specs;
+}
+
+void collect_keys(const stats::json& j, std::set<std::string>& keys)
+{
+    if (j.is_object()) {
+        for (const auto& [key, value] : j.members()) {
+            keys.insert(key);
+            collect_keys(value, keys);
+        }
+    } else if (j.is_array()) {
+        for (const auto& e : j.elements()) collect_keys(e, keys);
+    }
+}
+
+// The schema's key set: exports write every key, so walking them finds all.
+std::set<std::string> schema_keys()
+{
+    std::set<std::string> keys;
+    for (const auto& spec : all_specs()) collect_keys(export_scenario(spec), keys);
+    return keys;
 }
 
 }  // namespace
@@ -90,21 +129,21 @@ TEST(scenario_fuzz, byte_soup_never_crashes)
 
 TEST(scenario_fuzz, structured_soup_never_crashes)
 {
-    // Soup biased toward JSON punctuation and schema vocabulary: reaches
-    // deeper parser states than uniform bytes.
-    static const char* frags[] = {
+    // Soup biased toward JSON punctuation and schema vocabulary (every key
+    // the schema has): reaches deeper parser states than uniform bytes.
+    std::vector<std::string> frags = {
         "{", "}", "[", "]", ":", ",", "\"", "true", "false", "null",
         "1e308", "-0.0", "1e-308", "9223372036854775807",
-        "\"schema\"", "\"l4span-scenario-v1\"", "\"family\"", "\"tcp_grid\"",
-        "\"duration_s\"", "\"cell\"", "\"wred\"", "\"flows\"", "\\u0000",
+        "\"l4span-scenario-v1\"", "\\u0000",
     };
+    for (const auto& key : schema_keys()) frags.push_back("\"" + key + "\"");
     sim::rng rng(0xc0ffee);
     for (int iter = 0; iter < 400; ++iter) {
         std::string soup;
         const int n = static_cast<int>(rng.uniform_int(1, 40));
         for (int i = 0; i < n; ++i) {
-            soup += frags[rng.uniform_int(
-                0, static_cast<std::int64_t>(std::size(frags)) - 1)];
+            soup += frags[static_cast<std::size_t>(rng.uniform_int(
+                0, static_cast<std::int64_t>(frags.size()) - 1))];
             if (rng.bernoulli(0.3)) soup += ' ';
         }
         must_accept_or_diagnose(soup, "structured soup");
@@ -185,6 +224,8 @@ TEST(scenario_fuzz, absurd_values_diagnosed_with_key)
          "ccas"},
         {"\"rtts_ms\": [\n      19\n    ]",
          "\"rtts_ms\": [\n      \"fast\"\n    ]", "rtts_ms"},
+        {"\"channels\": [\n      \"static\"\n    ]",
+         "\"channels\": [\n      \"statc\"\n    ]", "tcp_grid.channels[0]"},
     };
     for (const auto& e : edits) {
         SCOPED_TRACE(e.replacement);
@@ -207,13 +248,7 @@ TEST(scenario_fuzz, export_parse_export_exact_for_all_specs)
 {
     // Builtins in both forms plus the WRED cell_flows spec: export must be
     // a fixpoint of parse ∘ export on bytes.
-    std::vector<scenario_spec> specs;
-    for (const char* name : {"fig09", "fig16", "ecn_impairment", "fault_chaos"}) {
-        specs.push_back(builtin_scenario(name, false));
-        specs.push_back(builtin_scenario(name, true));
-    }
-    specs.push_back(wred_cell_flows_spec());
-    for (const auto& spec : specs) {
+    for (const auto& spec : all_specs()) {
         SCOPED_TRACE(spec.figure);
         const std::string once = export_scenario(spec).dump();
         const auto reparsed = parse_scenario_text(once, "<rt>");
@@ -234,4 +269,16 @@ TEST(scenario_fuzz, wred_spec_parses_back_to_wred_queue_params)
     EXPECT_DOUBLE_EQ(w.classic.max_p, 0.08);
     EXPECT_EQ(w.ecn_drop_bytes, std::size_t{1} << 20);
     EXPECT_EQ(w.l4s_weight, 8);
+}
+
+TEST(scenario_fuzz, every_schema_key_is_documented)
+{
+    std::string doc;
+    ASSERT_TRUE(stats::read_text_file(
+        std::string(L4SPAN_SOURCE_ROOT) + "/docs/SCENARIOS.md", doc));
+    const auto keys = schema_keys();
+    EXPECT_GT(keys.size(), 100u);
+    for (const auto& key : keys)
+        EXPECT_NE(doc.find("`" + key + "`"), std::string::npos)
+            << "docs/SCENARIOS.md does not document key `" << key << "`";
 }

@@ -56,6 +56,17 @@ run_output run_captured(const scenario_spec& spec, int jobs)
 
 const char* k_builtins[] = {"fig09", "fig16", "ecn_impairment", "fault_chaos"};
 
+// A minimal cell_flows document whose cell object holds `cell_members`.
+std::string cell_flows_doc(const std::string& cell_members)
+{
+    return R"({"schema": "l4span-scenario-v1", "family": "cell_flows",)"
+           "\n"
+           R"( "duration_s": 1, "cell_flows": {"seeds": [1],)"
+           "\n"
+           R"( "cell": {)" +
+           cell_members + R"(}, "flows": [{"cca": "prague"}]}})";
+}
+
 }  // namespace
 
 TEST(scenario_spec, export_parse_export_is_identity_for_builtins)
@@ -157,6 +168,55 @@ TEST(scenario_spec, out_of_range_value_names_key)
         EXPECT_NE(std::string(e.what()).find("loss"), std::string::npos)
             << e.what();
     }
+}
+
+TEST(scenario_spec, unknown_name_error_names_key_path_line_and_valid_names)
+{
+    struct bad {
+        const char* cell_members;
+        const char* key_path;
+    };
+    const bad cases[] = {
+        {R"("l4s": {"shared_policy": "bogus"})", "cell_flows.cell.l4s.shared_policy"},
+        {R"("cu": "bogus")", "cell_flows.cell.cu"},
+        {R"("channel": "bogus")", "cell_flows.cell.channel"},
+        {R"("bottleneck_aqm": "bogus")", "cell_flows.cell.bottleneck_aqm"},
+        {R"("bottleneck_bps": 1e6, "cross_traffic": [{"model": "bogus"}])",
+         "cell_flows.cell.cross_traffic[0].model"},
+        {R"("bottleneck_bps": 1e6, "cross_traffic": [{"ecn": "bogus"}])",
+         "cell_flows.cell.cross_traffic[0].ecn"},
+    };
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.cell_members);
+        try {
+            parse_scenario_text(cell_flows_doc(c.cell_members), "<test>");
+            FAIL() << "unknown name must be rejected";
+        } catch (const scenario_error& e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("<test>"), std::string::npos) << msg;
+            EXPECT_NE(msg.find(std::string("\"") + c.key_path + "\""), std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("(line 3)"), std::string::npos) << msg;
+            EXPECT_NE(msg.find("(valid: "), std::string::npos) << msg;
+        }
+    }
+}
+
+TEST(scenario_spec, partial_nested_object_keeps_the_other_defaults)
+{
+    // Keys a nested object omits keep the enclosing struct's defaults: a
+    // WRED profile naming only max_p keeps the documented ramp.
+    const auto spec = parse_scenario_text(
+        cell_flows_doc(R"("wred": {"l4s": {"max_p": 0.5}, "l4s_weight": 2})"), "<test>");
+    const auto& w = spec.cell_flows.cell.wred;
+    EXPECT_EQ(w.l4s.min_bytes, 12112u);
+    EXPECT_EQ(w.l4s.max_bytes, 96896u);
+    EXPECT_DOUBLE_EQ(w.l4s.max_p, 0.5);
+    EXPECT_EQ(w.classic.min_bytes, 48448u);
+    EXPECT_EQ(w.classic.max_bytes, 387584u);
+    EXPECT_DOUBLE_EQ(w.classic.max_p, 0.1);
+    EXPECT_EQ(w.l4s_weight, 2);
+    EXPECT_EQ(w.ecn_drop_bytes, std::size_t{1} << 21);
 }
 
 TEST(scenario_spec, wrong_schema_tag_rejected)

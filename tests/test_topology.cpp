@@ -4,6 +4,7 @@
 // the sharded run (byte-identical metric streams for --jobs 1 vs 4).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -351,10 +352,65 @@ TEST(topology, handover_preserves_inflight_rlc_sdus)
     EXPECT_GT(topo.goodput_series(h).mbps_at(sim::from_ms(2500)), 1.0);
 }
 
-TEST(topology, handover_migrates_l4span_marking_state_without_ce_burst)
+namespace {
+
+// Forwards every call to the wrapped hook, counting the handover state
+// transfers it sees — the shape of a timing or tracing decorator installed
+// with gnb::set_cu_hook.
+class counting_hook final : public ran::cu_hook {
+public:
+    explicit counting_hook(ran::cu_hook& inner) : inner_(inner) {}
+
+    std::unique_ptr<ue_state> detach_ue(ran::rnti_t ue) override
+    {
+        ++detaches;
+        return inner_.detach_ue(ue);
+    }
+    void attach_ue(ran::rnti_t ue, std::unique_ptr<ue_state> state) override
+    {
+        ++attaches;
+        inner_.attach_ue(ue, std::move(state));
+    }
+    bool on_dl_packet(net::packet& pkt, ran::rnti_t ue, ran::drb_id_t drb,
+                      ran::pdcp_sn_t sn, sim::tick now) override
+    {
+        return inner_.on_dl_packet(pkt, ue, drb, sn, now);
+    }
+    bool on_ul_packet(net::packet& pkt, ran::rnti_t ue, sim::tick now) override
+    {
+        return inner_.on_ul_packet(pkt, ue, now);
+    }
+    void on_delivery_status(const ran::dl_delivery_status& status, sim::tick now) override
+    {
+        inner_.on_delivery_status(status, now);
+    }
+    void on_dl_discard(ran::rnti_t ue, ran::drb_id_t drb, ran::pdcp_sn_t sn,
+                       sim::tick now) override
+    {
+        inner_.on_dl_discard(ue, drb, sn, now);
+    }
+
+    int detaches = 0;
+    int attaches = 0;
+
+private:
+    ran::cu_hook& inner_;
+};
+
+// One Prague flow handed over from cell 0 to cell 1 at 2 s, optionally with
+// a counting decorator in front of each cell's L4Span entity; the marking
+// state must migrate either way.
+void expect_l4span_state_migrates(bool decorated)
 {
     auto spec = two_cell_spec(scenario::cu_mode::l4span);
     scenario::topology topo(spec);
+    std::vector<std::unique_ptr<counting_hook>> hooks;
+    if (decorated)
+        for (int c = 0; c < 2; ++c) {
+            auto& cell = topo.cell_at(c);
+            hooks.push_back(std::make_unique<counting_hook>(*cell.l4span_layer()));
+            cell.gnb().set_cu_hook(hooks.back().get());
+        }
     scenario::flow_spec f;
     f.cca = "prague";
     f.ue = 0;
@@ -363,6 +419,13 @@ TEST(topology, handover_migrates_l4span_marking_state_without_ce_burst)
     topo.schedule_handover(ho_at, 0, 1);
     topo.run(sim::from_sec(4));
     ASSERT_EQ(topo.handovers_completed(), 1u);
+    if (decorated) {
+        // The transfer went through the installed hook, not around it.
+        EXPECT_EQ(hooks[0]->detaches, 1);
+        EXPECT_EQ(hooks[0]->attaches, 0);
+        EXPECT_EQ(hooks[1]->detaches, 0);
+        EXPECT_EQ(hooks[1]->attaches, 1);
+    }
 
     core::l4span* src = topo.cell_at(0).l4span_layer();
     core::l4span* tgt = topo.cell_at(1).l4span_layer();
@@ -383,6 +446,18 @@ TEST(topology, handover_migrates_l4span_marking_state_without_ce_burst)
     // handover: Prague would sit at seconds of OWD without working marks.
     EXPECT_LT(topo.owd_ms(h).percentile(90), 200.0);
     EXPECT_GT(topo.goodput_mbps(h), 5.0);
+}
+
+}  // namespace
+
+TEST(topology, handover_migrates_l4span_marking_state_without_ce_burst)
+{
+    expect_l4span_state_migrates(/*decorated=*/false);
+}
+
+TEST(topology, handover_state_transfer_goes_through_installed_cu_hook)
+{
+    expect_l4span_state_migrates(/*decorated=*/true);
 }
 
 TEST(topology, handover_to_serving_cell_is_skipped)
