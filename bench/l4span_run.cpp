@@ -1,10 +1,10 @@
-// l4span_run — the generic scenario driver: loads a JSON scenario file
-// (schema "l4span-scenario-v1", see docs/SCENARIOS.md), fans its grid out
-// through scenario::grid_runner and prints the same banner/table/JSON
-// output as the bench binary the family grew out of. Running a bench's
-// --export-scenario dump through this driver reproduces the bench's stdout
-// and JSON summary byte-for-byte, for any --jobs value (pinned by
-// tests/test_scenario_spec.cpp and the CI perf-smoke slice).
+// l4span_run — the scenario driver: loads a JSON scenario file (schema
+// "l4span-scenario-v1", see docs/SCENARIOS.md), fans its grid out through
+// scenario::grid_runner and prints the family's banner, tables and JSON
+// summary. The figure grids live as files under examples/scenarios/ (a
+// full and a *_quick.json slice per figure); stdout and the summary are
+// byte-identical for any --jobs value (pinned by
+// tests/test_scenario_spec.cpp and the CI perf-smoke slices).
 //
 //   l4span_run SCENARIO.json [--jobs N] [--json PATH] [--obs-out PREFIX]
 //              [--impair-noop] [--export PATH]
@@ -12,7 +12,10 @@
 // There is deliberately no --quick: quickness is a property of the
 // scenario document (the grid axes it lists), not of the run. --export
 // re-exports the parsed document (normalized key order/format) and exits.
+// A scenario the runner rejects (any exception) prints "error: ..." and
+// exits 1.
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "scenario/grid_runner.h"
@@ -65,8 +68,7 @@ int main(int argc, char** argv)
         } else if (a == "--quick") {
             usage(argv[0],
                   "--quick is not a driver flag: a scenario file already names "
-                  "its grid slice (export one with bench_* --quick "
-                  "--export-scenario PATH)");
+                  "its grid slice (run the *_quick.json file instead)");
         } else if (!a.empty() && a[0] == '-') {
             usage(argv[0], "unknown argument: " + a);
         } else if (scenario_path.empty()) {
@@ -84,7 +86,7 @@ int main(int argc, char** argv)
         if (!export_path.empty())
             return scenario::write_scenario_file(export_path, spec);
         return scenario::run_scenario(spec, args);
-    } catch (const scenario::scenario_error& e) {
+    } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
     }

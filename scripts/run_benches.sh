@@ -1,6 +1,8 @@
 #!/usr/bin/env sh
 # Run every figure benchmark in a build directory and save each one's stdout
-# under <outdir>/<bench>.txt. Grid-shaped benches additionally emit a
+# under <outdir>/<bench>.txt, then run the figure grids under
+# examples/scenarios/ through l4span_run (stdout in <outdir>/<file>.txt).
+# Grid-shaped benches and the scenario files additionally emit a
 # machine-readable summary, collected as BENCH_<fig>.json at the repo root —
 # the per-figure trajectories the ROADMAP tracks.
 #
@@ -8,11 +10,13 @@
 #
 #   --jobs N   worker threads for the grid benches (default: all cores,
 #              also settable via L4SPAN_BENCH_JOBS; 1 = historical serial run)
-#   --quick    tiny grid slices (the CI perf-smoke configuration)
+#   --quick    tiny grid slices (the CI perf-smoke configuration); for the
+#              scenario files this runs the *_quick.json slices instead of
+#              the full files
 #   --profile  run only bench_fig21_proctime and emit the per-stage
 #              (RLC/MAC/AQM/L4Span) ns breakdown as BENCH_fig21.json --
 #              the starting data for the next hot-path PR
-#   --obs      run bench_fault_chaos with the obs:: telemetry hub enabled:
+#   --obs      run the fault_chaos scenario with the obs:: telemetry hub enabled:
 #              metric snapshots, trace dumps and flight-recorder incident
 #              files land under <outdir>/obs/, with a rendered summary in
 #              <outdir>/obs_report.txt (results are byte-identical either way)
@@ -90,11 +94,10 @@ fi
 
 # Benches that understand --jobs/--quick/--json (grid_runner- or
 # topology-sharded).
-grid_benches="bench_ecn_impairment bench_fault_chaos bench_fig09_tcp_grid \
-bench_fig13_video bench_fig14_fairness bench_fig16_shared_drb \
-bench_fig17_queue_cdf bench_fig18_coherence bench_fig19_threshold \
-bench_fig21_proctime bench_fig24_bbr_reno bench_mc_handover \
-bench_quic_interactive bench_tab1_overhead bench_trace_replay"
+grid_benches="bench_fig13_video bench_fig14_fairness bench_fig17_queue_cdf \
+bench_fig18_coherence bench_fig19_threshold bench_fig21_proctime \
+bench_mc_handover bench_quic_interactive bench_tab1_overhead \
+bench_trace_replay"
 
 is_grid_bench() {
     for g in $grid_benches; do
@@ -112,10 +115,8 @@ for bin in "$build_dir"/bench_*; do
     ran=$((ran + 1))
     echo "== $name"
     if is_grid_bench "$name"; then
-        # bench_fig09_tcp_grid -> fig09; bench_tab1_overhead -> tab1
+        # bench_fig13_video -> fig13; bench_tab1_overhead -> tab1
         case "$name" in
-            bench_ecn_impairment) fig=ecn_impairment ;;
-            bench_fault_chaos) fig=fault_chaos ;;
             bench_mc_handover) fig=mc_handover ;;
             bench_quic_interactive) fig=quic_interactive ;;
             bench_trace_replay) fig=trace_replay ;;
@@ -125,11 +126,6 @@ for bin in "$build_dir"/bench_*; do
         # The replay grid runs from the committed NR-Scope-style traces.
         if [ "$name" = "bench_trace_replay" ]; then
             set -- "$@" --trace-dir "$repo_root/traces"
-        fi
-        # --obs: the chaos bench doubles as the flight-recorder exercise.
-        if [ -n "$obs" ] && [ "$name" = "bench_fault_chaos" ]; then
-            mkdir -p "$out_dir/obs"
-            set -- "$@" --obs-out "$out_dir/obs/chaos"
         fi
         if [ "$jobs" -gt 0 ] 2>/dev/null; then
             set -- "$@" --jobs "$jobs"
@@ -143,6 +139,41 @@ for bin in "$build_dir"/bench_*; do
         fi
     elif "$bin" > "$out_dir/$name.txt" 2>&1; then
         tail -n 3 "$out_dir/$name.txt"
+    else
+        echo "   FAILED (see $out_dir/$name.txt)" >&2
+        status=1
+    fi
+done
+
+# Figure grids defined as scenario files: every <fig>.json with a
+# <fig>_quick.json slice next to it (fig09, fig16, fig24, ecn_impairment,
+# fault_chaos). The full file by default, the slice with --quick; either
+# way the summary lands in BENCH_<fig>.json.
+runner=$build_dir/l4span_run
+for slice in "$repo_root"/examples/scenarios/*_quick.json; do
+    if [ ! -x "$runner" ]; then
+        echo "error: $runner not found (build the l4span_run target)" >&2
+        status=1
+        break
+    fi
+    fig=$(basename "$slice" _quick.json)
+    scn=$slice
+    [ -n "$quick" ] || scn=${slice%_quick.json}.json
+    name=$(basename "$scn" .json)
+    ran=$((ran + 1))
+    echo "== l4span_run $name.json"
+    set -- "$scn" --json "$out_dir/BENCH_$fig.json"
+    # --obs: the chaos grid doubles as the flight-recorder exercise.
+    if [ -n "$obs" ] && [ "$fig" = "fault_chaos" ]; then
+        mkdir -p "$out_dir/obs"
+        set -- "$@" --obs-out "$out_dir/obs/chaos"
+    fi
+    if [ "$jobs" -gt 0 ] 2>/dev/null; then
+        set -- "$@" --jobs "$jobs"
+    fi
+    if "$runner" "$@" > "$out_dir/$name.txt" 2>&1; then
+        tail -n 3 "$out_dir/$name.txt"
+        cp "$out_dir/BENCH_$fig.json" "$repo_root/BENCH_$fig.json"
     else
         echo "   FAILED (see $out_dir/$name.txt)" >&2
         status=1

@@ -6,23 +6,65 @@
 namespace l4span::scenario {
 
 namespace {
+
 constexpr sim::tick k_sample_period = sim::from_ms(10);
+
+// Every flow_spec.cca name and how the harnesses treat it: L4S flows ride
+// the L4S DRB, media names build a UDP rate-adaptive sender, and quic-<cc>
+// names run the QUIC engine with TCP controller <cc>.
+struct cca_entry {
+    const char* name;
+    bool l4s;
+    bool media;
+    bool quic;
+};
+constexpr cca_entry k_ccas[] = {
+    {"reno", false, false, false},
+    {"cubic", false, false, false},
+    {"prague", true, false, false},
+    {"bbr", false, false, false},
+    {"bbr2", true, false, false},
+    {"scream", true, true, false},
+    {"udp-prague", true, true, false},
+    {"quic-reno", false, false, true},
+    {"quic-cubic", false, false, true},
+    {"quic-prague", true, false, true},
+    {"quic-bbr", false, false, true},
+    {"quic-bbr2", true, false, true},
+};
+
+const cca_entry* find_cca(const std::string& cca)
+{
+    for (const auto& e : k_ccas)
+        if (cca == e.name) return &e;
+    return nullptr;
+}
+
 }  // namespace
+
+std::vector<std::string> cca_names()
+{
+    std::vector<std::string> names;
+    for (const auto& e : k_ccas) names.emplace_back(e.name);
+    return names;
+}
 
 bool is_l4s_cca(const std::string& cca)
 {
-    if (is_quic_cca(cca)) return is_l4s_cca(quic_cc_of(cca));
-    return cca == "prague" || cca == "bbr2" || cca == "scream" || cca == "udp-prague";
+    const cca_entry* e = find_cca(cca);
+    return e && e->l4s;
 }
 
 bool is_media_cca(const std::string& cca)
 {
-    return cca == "scream" || cca == "udp-prague";
+    const cca_entry* e = find_cca(cca);
+    return e && e->media;
 }
 
 bool is_quic_cca(const std::string& cca)
 {
-    return cca.rfind("quic-", 0) == 0;
+    const cca_entry* e = find_cca(cca);
+    return e && e->quic;
 }
 
 std::string quic_cc_of(const std::string& cca)

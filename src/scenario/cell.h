@@ -140,6 +140,9 @@ chan::channel_profile channel_by_name(const std::string& name, std::uint64_t var
 std::unique_ptr<chan::link_model> make_ue_link(const cell_spec& spec,
                                                std::uint64_t variant);
 
+// The valid flow_spec.cca names, in table order. The traits below read the
+// same table and are false for a name outside it.
+std::vector<std::string> cca_names();
 bool is_l4s_cca(const std::string& cca);
 bool is_media_cca(const std::string& cca);
 bool is_quic_cca(const std::string& cca);

@@ -44,6 +44,15 @@ cell_scenario::cell_scenario(cell_spec spec) : spec_(std::move(spec))
             "cell_spec.cross_traffic: background senders share the core "
             "bottleneck, so set bottleneck_bps > 0 (there is no queue to "
             "compete for otherwise)");
+    if (spec_.bottleneck_bps <= 0.0 && spec_.bottleneck_aqm != "fifo")
+        throw std::invalid_argument(
+            "cell_spec.bottleneck_aqm \"" + spec_.bottleneck_aqm +
+            "\" needs bottleneck_bps > 0 (without a core bottleneck there is "
+            "no queue for the AQM to manage)");
+    if (spec_.bottleneck_bps <= 0.0 && !spec_.bottleneck_schedule.empty())
+        throw std::invalid_argument(
+            "cell_spec.bottleneck_schedule needs bottleneck_bps > 0 (it changes "
+            "the rate of the core bottleneck, which is not mounted otherwise)");
     if (any_ul_cross && spec_.ul_bottleneck_bps <= 0.0)
         throw std::invalid_argument(
             "cell_spec.cross_traffic: uplink background senders share the "

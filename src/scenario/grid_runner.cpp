@@ -81,15 +81,11 @@ bench_args parse_bench_args(int argc, char** argv)
             args.obs_out = argv[++i];
         } else if (a.rfind("--obs-out=", 0) == 0) {
             args.obs_out = a.substr(10);
-        } else if (a == "--export-scenario" && i + 1 < argc) {
-            args.export_scenario = argv[++i];
-        } else if (a.rfind("--export-scenario=", 0) == 0) {
-            args.export_scenario = a.substr(18);
         } else {
             std::fprintf(stderr,
                          "usage: %s [--jobs N] [--quick] [--json PATH] "
                          "[--trace-dir DIR] [--impair-noop] "
-                         "[--obs-out PREFIX] [--export-scenario PATH]\n"
+                         "[--obs-out PREFIX]\n"
                          "unknown argument: %s\n",
                          argv[0], a.c_str());
             std::exit(2);

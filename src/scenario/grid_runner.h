@@ -71,12 +71,6 @@ struct bench_args {
                              // PREFIX.trace.jsonl (+ incident dumps). The
                              // simulated results must be byte-identical
                              // with or without it.
-    std::string export_scenario;  // --export-scenario PATH: benches with a
-                                  // scenario_spec-backed grid dump their
-                                  // compiled-in scenario (after --quick
-                                  // slicing) to PATH as JSON and exit
-                                  // instead of running. Other benches
-                                  // accept and ignore the flag.
 };
 
 // Parses --jobs N / --quick / --json PATH / --trace-dir DIR /

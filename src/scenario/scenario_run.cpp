@@ -14,7 +14,7 @@ namespace l4span::scenario {
 
 namespace {
 
-// --- tcp_grid (bench_fig09_tcp_grid) ----------------------------------------
+// --- tcp_grid (Fig. 9 / Fig. 24) --------------------------------------------
 
 int run_tcp_grid(const scenario_spec& spec, const bench_args& args,
                  stats::json* summary_out)
@@ -30,6 +30,11 @@ int run_tcp_grid(const scenario_spec& spec, const bench_args& args,
         std::string chan;
         bool on;
     };
+    // One congested cell: `ues` long-lived downloads of one CCA.
+    struct point_result {
+        stats::sample_set owd_ms;     // pooled over all UEs
+        stats::sample_set tput_mbps;  // one sample per UE
+    };
     std::vector<grid_point> points;
     for (const double rtt : fam.rtts_ms)
         for (const std::size_t queue : fam.queues_sdus)
@@ -43,15 +48,42 @@ int run_tcp_grid(const scenario_spec& spec, const bench_args& args,
     std::fprintf(stderr, "%s: %zu grid points on %d worker(s)\n",
                  spec.figure.c_str(), points.size(), pool.jobs());
     const auto results = pool.map(points.size(), [&](std::size_t i) {
-        // One artifact prefix per grid point, so parallel points never
-        // write over each other's JSONL files.
-        const std::string obs = args.obs_out.empty()
-                                    ? std::string()
-                                    : args.obs_out + "-" + std::to_string(i);
         const grid_point& p = points[i];
-        return benchutil::run_tcp_grid_cell(p.cca, p.ues, p.queue, p.rtt, p.chan,
-                                            p.on, fam.seed_base, spec.duration,
-                                            args.impair_noop, obs);
+        cell_spec cell;
+        cell.num_ues = p.ues;
+        cell.channel = p.chan;
+        cell.rlc_queue_sdus = p.queue;
+        cell.cu = p.on ? cu_mode::l4span : cu_mode::none;
+        cell.seed = fam.seed_base + static_cast<std::uint64_t>(p.ues) + p.queue;
+        // Pass-through fast-path check: mount all-off impairment stages on
+        // both directions; results must be byte-identical without them.
+        cell.impair_dl.force_stage = args.impair_noop;
+        cell.impair_ul.force_stage = args.impair_noop;
+        // Telemetry hub: the measured results must not change, only the
+        // JSONL artifacts appear. One artifact prefix per grid point, so
+        // parallel points never write over each other's files.
+        if (!args.obs_out.empty()) {
+            cell.obs.enabled = true;
+            cell.obs.out_prefix = args.obs_out + "-" + std::to_string(i);
+        }
+        cell_scenario s(cell);
+        std::vector<int> handles;
+        for (int u = 0; u < p.ues; ++u) {
+            flow_spec f;
+            f.cca = p.cca;
+            f.ue = u;
+            f.wired_owd_ms = p.rtt;
+            f.max_cwnd = 1536 * 1024;  // Linux default-autotuned receive window
+            handles.push_back(s.add_flow(f));
+        }
+        s.run(spec.duration);
+
+        point_result r;
+        for (int h : handles) {
+            for (double v : s.owd_ms(h).raw()) r.owd_ms.add(v);
+            r.tput_mbps.add(s.goodput_mbps(h));
+        }
+        return r;
     });
 
     auto summary = stats::json::object();
@@ -108,7 +140,7 @@ int run_tcp_grid(const scenario_spec& spec, const bench_args& args,
     return benchutil::finish(args, summary);
 }
 
-// --- shared_drb (bench_fig16_shared_drb) ------------------------------------
+// --- shared_drb (Fig. 16) ---------------------------------------------------
 
 int run_shared_drb(const scenario_spec& spec, const bench_args& args,
                    stats::json* summary_out)
@@ -180,7 +212,7 @@ int run_shared_drb(const scenario_spec& spec, const bench_args& args,
     return benchutil::finish(args, summary);
 }
 
-// --- ecn_impairment (bench_ecn_impairment) ----------------------------------
+// --- ecn_impairment ---------------------------------------------------------
 
 int run_ecn_impairment(const scenario_spec& spec, const bench_args& args,
                        stats::json* summary_out)
@@ -303,7 +335,7 @@ int run_ecn_impairment(const scenario_spec& spec, const bench_args& args,
     return benchutil::finish(args, summary);
 }
 
-// --- fault_chaos (bench_fault_chaos) ----------------------------------------
+// --- fault_chaos ------------------------------------------------------------
 
 int run_fault_chaos(const scenario_spec& spec, const bench_args& args,
                     stats::json* summary_out)
@@ -539,154 +571,6 @@ int run_cell_flows(const scenario_spec& spec, const bench_args& args,
 }
 
 }  // namespace
-
-scenario_spec builtin_scenario(const std::string& name, bool quick)
-{
-    scenario_spec spec;
-    spec.quick = quick;
-    if (name == "fig09") {
-        spec.figure = "fig09";
-        spec.title = "Fig. 9: TCP one-way delay vs per-UE throughput grid";
-        spec.paper_ref =
-            "L4Span cuts Prague/CUBIC median OWD by ~98% (static), ~97% "
-            "(mobile), BBRv2 by ~52%, at <10% median throughput cost";
-        spec.family = "tcp_grid";
-        spec.duration = sim::from_sec(6);
-        if (quick) {  // 2-point CI slice: one cell, with and without L4Span
-            spec.tcp_grid.rtts_ms = {19.0};
-            spec.tcp_grid.queues_sdus = {256};
-            spec.tcp_grid.ue_counts = {16};
-            spec.tcp_grid.ccas = {"prague"};
-            spec.tcp_grid.channels = {"static"};
-        }
-        return spec;
-    }
-    if (name == "fig16") {
-        spec.figure = "fig16";
-        spec.title = "Fig. 16: shared-DRB marking strategies";
-        spec.paper_ref =
-            "'original' starves L4S, 'L4S-for-all' starves classic "
-            "(~25%), 'classic-for-all' is noisy; L4Span's coupling "
-            "lands near 50/50 with the least variance";
-        spec.family = "shared_drb";
-        spec.duration = sim::from_sec(15);
-        spec.shared_drb.strategies = {
-            {"original", core::shared_drb_policy::original},
-            {"L4S-for-all", core::shared_drb_policy::l4s_all},
-            {"classic-for-all", core::shared_drb_policy::classic_all},
-            {"L4Span (coupled)", core::shared_drb_policy::coupled},
-        };
-        if (quick)  // CI slice: the strawman vs the paper's design
-            spec.shared_drb.strategies = {spec.shared_drb.strategies.front(),
-                                          spec.shared_drb.strategies.back()};
-        return spec;
-    }
-    if (name == "ecn_impairment") {
-        spec.figure = "ecn_impairment";
-        spec.title = "ECN path-impairment grid (bleach/strip/remark/loss/reorder)";
-        spec.paper_ref =
-            "robustness item: L4Span + Prague/CUBIC/BBRv2 when the wired path "
-            "bleaches or strips ECN (cf. \"A Fresh Look at ECN Traversal\")";
-        spec.family = "ecn_impairment";
-        spec.duration = sim::from_sec(5);
-        ecn_impairment_family& f = spec.ecn_impairment;
-        f.profiles.push_back({"clean", false, {}});
-        {
-            ecn_impairment_family::profile p;
-            p.name = "bleach";
-            p.impair.bleach_ce = 1.0;  // congestion signal erased, ECT restored
-            f.profiles.push_back(std::move(p));
-        }
-        {
-            ecn_impairment_family::profile p;
-            p.name = "remark";
-            p.impair.remark_ect1 = 1.0;  // L4S identifier erased -> classic
-            f.profiles.push_back(std::move(p));
-        }
-        {
-            ecn_impairment_family::profile p;
-            p.name = "strip";
-            p.impair.strip_ect = 1.0;  // path declares the flow non-ECN-capable
-            f.profiles.push_back(std::move(p));
-        }
-        {
-            // Same stripped path, but the CU sheds queue instead of letting
-            // the demoted flow sit in a seconds-deep RLC backlog.
-            ecn_impairment_family::profile p;
-            p.name = "strip+drop";
-            p.drop_non_ecn = true;
-            p.impair.strip_ect = 1.0;
-            f.profiles.push_back(std::move(p));
-        }
-        {
-            ecn_impairment_family::profile p;
-            p.name = "loss";
-            p.impair.loss = 0.01;
-            p.impair.loss_burst = 4.0;  // Gilbert bursts, ~1% stationary loss
-            f.profiles.push_back(std::move(p));
-        }
-        {
-            ecn_impairment_family::profile p;
-            p.name = "reorder";
-            p.impair.reorder = 0.02;
-            p.impair.reorder_gap = 5;
-            f.profiles.push_back(std::move(p));
-        }
-        {
-            // Everything at once: the worst path the traversal study saw.
-            ecn_impairment_family::profile p;
-            p.name = "liar";
-            p.impair.bleach_ce = 1.0;
-            p.impair.remark_ect1 = 1.0;
-            p.impair.loss = 0.005;
-            p.impair.loss_burst = 2.0;
-            p.impair.reorder = 0.01;
-            p.impair.duplicate = 0.005;
-            f.profiles.push_back(std::move(p));
-        }
-        f.ccas = {{"prague", "tcp-prague"},
-                  {"quic-prague", "quic-prague"},
-                  {"cubic", "tcp-cubic"},
-                  {"bbr2", "tcp-bbr2"}};
-        if (quick) {  // CI slice: 2 transports x 3 profiles, cross on
-            f.ccas = {{"prague", "tcp-prague"}, {"quic-prague", "quic-prague"}};
-            f.profiles = {f.profiles[0], f.profiles[3], f.profiles[4]};
-            f.cross_options = {true};
-            f.ues = 2;
-            spec.duration = sim::from_sec(2);
-        }
-        return spec;
-    }
-    if (name == "fault_chaos") {
-        spec.figure = "fault_chaos";
-        spec.title = "Fault-injection chaos grid (fault class x transport)";
-        spec.paper_ref =
-            "graceful degradation under RLF / handover failure / "
-            "cell outage / link flaps: bounded recovery, no wedged "
-            "flows, interactive media resumes after blackouts";
-        spec.family = "fault_chaos";
-        spec.duration = sim::from_sec(6);
-        spec.fault_chaos.profiles = {
-            {"baseline", 0.0, 0.0, 0.0, 0.0},
-            {"rlf", 0.6, 0.0, 0.0, 0.0},
-            {"ho-failure", 0.0, 0.6, 0.0, 0.0},
-            {"cell-outage", 0.0, 0.0, 0.3, 0.0},
-            {"link-flap", 0.0, 0.0, 0.0, 0.5},
-            {"chaos-mix", 0.4, 0.3, 0.15, 0.25},
-        };
-        spec.fault_chaos.transports = {
-            {"prague", false}, {"cubic", false}, {"quic-prague", true}};
-        if (quick) {
-            spec.fault_chaos.profiles = {{"baseline", 0, 0, 0, 0},
-                                         {"chaos-mix", 0.4, 0.3, 0.15, 0.25}};
-            spec.fault_chaos.transports = {{"prague", false}};
-            spec.duration = sim::from_sec(3);
-        }
-        return spec;
-    }
-    throw scenario_error("unknown builtin scenario \"" + name +
-                         "\" (valid: fig09, fig16, ecn_impairment, fault_chaos)");
-}
 
 int run_scenario(const scenario_spec& spec, const bench_args& args,
                  stats::json* summary_out)

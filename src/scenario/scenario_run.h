@@ -1,28 +1,17 @@
 // Executes a scenario_spec: one family runner per experiment family, each
-// printing the exact banner/table/stderr output of the bench binary the
-// family grew out of and emitting the same stats::json summary. The four
-// representative benches (fig09, fig16, ecn_impairment, fault_chaos) are
-// thin wrappers over builtin_scenario() + run_scenario(), so a bench, the
-// same scenario exported to JSON and re-run through `l4span_run`, and the
-// conformance tests all print through ONE code path — byte-identity for
-// any --jobs value holds by construction and is pinned in
-// tests/test_scenario_spec.cpp.
+// printing a banner, fixed-order tables on stdout and a stats::json
+// summary. The committed files under examples/scenarios/ are the only
+// definition of the figure grids (Fig. 9, 16 and 24, the ECN-impairment
+// and fault-chaos grids) and `l4span_run` their only driver; output is
+// byte-identical for any --jobs value (pinned in
+// tests/test_scenario_spec.cpp).
 #pragma once
-
-#include <string>
 
 #include "scenario/grid_runner.h"
 #include "scenario/scenario_spec.h"
 #include "stats/json.h"
 
 namespace l4span::scenario {
-
-// The compiled-in scenario of a representative bench: "fig09" (tcp_grid),
-// "fig16" (shared_drb), "ecn_impairment", "fault_chaos". `quick` bakes the
-// bench's --quick slice into the returned document (grid axes and
-// duration), exactly as the bench would run it. Throws scenario_error on
-// an unknown name.
-scenario_spec builtin_scenario(const std::string& name, bool quick);
 
 // Runs the scenario: banner, grid fan-out (grid_runner with args.jobs),
 // fixed-order tables on stdout, JSON summary behind args.json_path.

@@ -84,11 +84,10 @@ struct name_table {
 };
 
 // A string member restricted to a fixed set of names.
-name_table<std::string> choices(const char* noun,
-                                std::initializer_list<const char*> names)
+name_table<std::string> choices(const char* noun, const std::vector<std::string>& names)
 {
     name_table<std::string> t{noun, {}};
-    for (const char* n : names) t.entries.emplace_back(n, n);
+    for (const auto& n : names) t.entries.emplace_back(n, n);
     return t;
 }
 
@@ -116,6 +115,7 @@ const auto k_cross_models = choices("model", {"poisson", "cbr"});
 // (bench_trace_replay is the trace-driven harness).
 const auto k_channels =
     choices("channel", {"static", "pedestrian", "vehicular", "mobile"});
+const auto k_cca_names = choices("CCA", cca_names());
 
 // --- codecs --------------------------------------------------------------------
 // A codec binds one JSON value onto a member (bind) and writes it back
@@ -445,7 +445,7 @@ const table<cell_spec> k_cell{
 
 using flow = cell_flows_family::flow;
 const table<flow> k_flow{
-    row<&flow::spec, &flow_spec::cca, str{}>("cca"),
+    row<&flow::spec, &flow_spec::cca, one_of{k_cca_names}>("cca"),
     row<&flow::spec, &flow_spec::ue, integer{0, 1 << 20}>("ue"),
     row<&flow::count, integer{1, 4096}>("count"),
     row<&flow::spec, &flow_spec::start_time, millis(0.0, 3600e3)>("start_ms"),
@@ -472,7 +472,7 @@ const table<tcp_grid_family> k_tcp_grid{
     row<&tcp_grid_family::rtts_ms, list{number{0.0, 10e3}, true}>("rtts_ms"),
     row<&tcp_grid_family::queues_sdus, list{integer{1, 1 << 30}, true}>("queues_sdus"),
     row<&tcp_grid_family::ue_counts, list{integer{1, 4096}, true}>("ue_counts"),
-    row<&tcp_grid_family::ccas, list{str{}, true}>("ccas"),
+    row<&tcp_grid_family::ccas, list{one_of{k_cca_names}, true}>("ccas"),
     row<&tcp_grid_family::channels, list{one_of{k_channels}, true}>("channels"),
 };
 
@@ -489,7 +489,7 @@ const table<shared_drb_family> k_shared_drb{
 using ecn_transport = ecn_impairment_family::transport;
 using ecn_profile = ecn_impairment_family::profile;
 const table<ecn_transport> k_ecn_transport{
-    row<&ecn_transport::cca, str{}>("cca"),
+    row<&ecn_transport::cca, one_of{k_cca_names}>("cca"),
     row<&ecn_transport::label, str{}>("label"),
 };
 const table<ecn_profile> k_ecn_profile{
@@ -521,7 +521,7 @@ const table<fault_profile> k_fault_profile{
     row<&fault_profile::flaps_per_cell_per_sec, k_fault_rate>("flaps_per_cell_per_sec"),
 };
 const table<fault_transport> k_fault_transport{
-    row<&fault_transport::cca, str{}>("cca"),
+    row<&fault_transport::cca, one_of{k_cca_names}>("cca"),
     row<&fault_transport::media, flag{}>("media"),
 };
 const table<fault_chaos_family> k_fault_chaos{

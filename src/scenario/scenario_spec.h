@@ -1,7 +1,7 @@
 // JSON scenario schema ("l4span-scenario-v1"): the data-driven face of the
 // experiment harnesses. A scenario file names one of five experiment
-// *families* — each a parameterized grid the repo previously only shipped
-// compiled into a bench binary — plus the grid axes to sweep:
+// *families* — each a parameterized grid run by `l4span_run` — plus the
+// grid axes to sweep:
 //
 //   tcp_grid        Fig. 9/24 methodology: CCA x channel x queue x RTT x
 //                   UE-count x {vanilla, +L4Span} congested-cell grid
@@ -18,10 +18,8 @@
 // throw scenario_error naming the offending key and its source line.
 // export_scenario() is the exact inverse on the supported surface — every
 // key is always written, in a fixed order, so export -> parse -> export is
-// the identity on bytes (pinned by tests/test_scenario_fuzz.cpp), and a
-// bench's compiled-in scenario exported via --export-scenario reproduces
-// the bench's output byte-for-byte when run back through `l4span_run`
-// (pinned by tests/test_scenario_spec.cpp).
+// the identity on bytes, and every committed file under examples/scenarios/
+// is its own export (both pinned by tests/test_scenario_spec.cpp).
 //
 // Schema reference: docs/SCENARIOS.md.
 #pragma once
@@ -49,7 +47,7 @@ public:
 
 // --- family parameter blocks -----------------------------------------------
 
-// Fig. 9-style congested-cell grid (bench_fig09_tcp_grid).
+// Fig. 9/24 congested-cell grid (examples/scenarios/fig09*.json, fig24*.json).
 struct tcp_grid_family {
     std::uint64_t seed_base = 1000;
     std::vector<double> rtts_ms{19.0, 53.0};  // one-way server->core OWD
@@ -59,7 +57,7 @@ struct tcp_grid_family {
     std::vector<std::string> channels{"static", "mobile"};
 };
 
-// Fig. 16 shared-DRB marking strategies (bench_fig16_shared_drb).
+// Fig. 16 shared-DRB marking strategies (examples/scenarios/fig16*.json).
 struct shared_drb_family {
     struct strategy {
         std::string label;  // parsed empty or absent: the policy name
@@ -69,7 +67,7 @@ struct shared_drb_family {
     std::vector<strategy> strategies;
 };
 
-// Adversarial wired-path grid (bench_ecn_impairment).
+// Adversarial wired-path grid (examples/scenarios/ecn_impairment*.json).
 struct ecn_impairment_family {
     struct profile {
         std::string name;  // parsed empty or absent: "profile<index>"
@@ -90,7 +88,7 @@ struct ecn_impairment_family {
     std::vector<profile> profiles;
 };
 
-// Multi-cell fault-injection grid (bench_fault_chaos).
+// Multi-cell fault-injection grid (examples/scenarios/fault_chaos*.json).
 struct fault_chaos_family {
     struct profile {
         std::string name;  // parsed empty or absent: "profile<index>"
@@ -151,7 +149,7 @@ struct scenario_spec {
 };
 
 // Parses + validates a scenario document. `origin` labels errors (a file
-// path, or e.g. "<builtin>"). Throws scenario_error on malformed JSON,
+// path, or e.g. "<inline>"). Throws scenario_error on malformed JSON,
 // unknown/duplicate keys, type mismatches or out-of-range values, always
 // naming the offending key and source line.
 scenario_spec parse_scenario_text(std::string_view text, const std::string& origin);
@@ -166,8 +164,8 @@ scenario_spec load_scenario_file(const std::string& path);
 stats::json export_scenario(const scenario_spec& spec);
 
 // export_scenario(spec).dump() -> `path`; "wrote <path>" on stderr.
-// Returns 0, or 1 on I/O failure (mirrors benchutil::finish). Benches use
-// this behind --export-scenario.
+// Returns 0, or 1 on I/O failure (mirrors benchutil::finish). `l4span_run
+// --export` uses this.
 int write_scenario_file(const std::string& path, const scenario_spec& spec);
 
 // shared_drb_policy <-> schema name (original, l4s_all, classic_all,

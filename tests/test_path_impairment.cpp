@@ -484,6 +484,32 @@ TEST(impairment_scenario, cell_scenario_validates_spec_fields)
     EXPECT_THROW(scenario::topology{topo_cross}, std::invalid_argument);
 }
 
+TEST(impairment_scenario, aqm_and_rate_schedule_need_a_core_bottleneck)
+{
+    // Without bottleneck_bps the core link is never mounted, so a non-FIFO
+    // AQM or a rate schedule would be silently ignored.
+    for (const char* aqm : {"dualpi2", "wred"}) {
+        SCOPED_TRACE(aqm);
+        scenario::cell_spec c;
+        c.bottleneck_aqm = aqm;
+        try {
+            scenario::cell_scenario s(c);
+            FAIL() << "expected std::invalid_argument";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("bottleneck_bps > 0"), std::string::npos)
+                << e.what();
+        }
+        c.bottleneck_bps = 40e6;
+        EXPECT_NO_THROW(scenario::cell_scenario{c});
+    }
+    scenario::cell_spec sched;
+    sched.bottleneck_schedule = {{sim::from_sec(1), 5e6}};
+    EXPECT_THROW(scenario::cell_scenario{sched}, std::invalid_argument);
+    sched.bottleneck_bps = 100e6;
+    EXPECT_NO_THROW(scenario::cell_scenario{sched});
+    EXPECT_NO_THROW(scenario::cell_scenario{scenario::cell_spec{}});  // plain FIFO
+}
+
 TEST(impairment_scenario, cross_traffic_validates_and_loads_bottleneck)
 {
     cross_traffic_spec bad_model;

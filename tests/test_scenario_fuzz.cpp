@@ -3,10 +3,11 @@
 // scenario_error, no matter the input: byte soup, truncations of a valid
 // document, random single-byte mutations, duplicate keys, absurd values.
 // Diagnostics must name the offending key, and export -> parse -> export
-// must be the exact identity on bytes — including for a programmatically
-// built cell_flows spec exercising the WRED surface, which no compiled-in
-// bench produces. The fuzz vocabulary and the docs/SCENARIOS.md coverage
-// check both come from the schema's own key set.
+// must be the exact identity on bytes — for every committed file under
+// examples/scenarios/ and for a programmatically built cell_flows spec
+// that also reaches the cross-traffic keys. The fuzz vocabulary and the
+// docs/SCENARIOS.md coverage check both come from the key set those
+// documents walk.
 #include <cstdint>
 #include <set>
 #include <string>
@@ -14,17 +15,18 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/rng.h"
-#include "scenario/scenario_run.h"
 #include "scenario/scenario_spec.h"
+#include "scenario_files.h"
+#include "sim/rng.h"
 #include "stats/json.h"
 
 using namespace l4span;
-using scenario::builtin_scenario;
 using scenario::export_scenario;
 using scenario::parse_scenario_text;
 using scenario::scenario_error;
 using scenario::scenario_spec;
+using test::read_text;
+using test::scenario_file;
 
 namespace {
 
@@ -42,8 +44,8 @@ void must_accept_or_diagnose(const std::string& text, const char* what)
     }
 }
 
-// A generic cell_flows scenario on the WRED dual-queue bottleneck — the
-// schema surface no bench binary can produce.
+// A generic cell_flows scenario on the WRED dual-queue bottleneck with one
+// CBR cross-traffic sender.
 scenario_spec wred_cell_flows_spec()
 {
     scenario_spec s;
@@ -79,15 +81,13 @@ scenario_spec wred_cell_flows_spec()
     return s;
 }
 
-// Every builtin in both forms plus the WRED spec: between them they reach
-// every object of the schema.
+// Every committed scenario file plus the WRED spec: between them they
+// reach every object of the schema.
 std::vector<scenario_spec> all_specs()
 {
     std::vector<scenario_spec> specs;
-    for (const char* name : {"fig09", "fig16", "ecn_impairment", "fault_chaos"}) {
-        specs.push_back(builtin_scenario(name, false));
-        specs.push_back(builtin_scenario(name, true));
-    }
+    for (const auto& path : test::scenario_files())
+        specs.push_back(scenario::load_scenario_file(path));
     specs.push_back(wred_cell_flows_spec());
     return specs;
 }
@@ -152,8 +152,7 @@ TEST(scenario_fuzz, structured_soup_never_crashes)
 
 TEST(scenario_fuzz, every_truncation_of_valid_export_diagnosed)
 {
-    const std::string full =
-        export_scenario(builtin_scenario("fig09", true)).dump();
+    const std::string full = read_text(scenario_file("fig09_quick.json"));
     // Cuts inside trailing whitespace still leave a complete document; every
     // cut before the closing brace must be diagnosed.
     const std::size_t last_brace = full.find_last_of('}');
@@ -171,8 +170,7 @@ TEST(scenario_fuzz, every_truncation_of_valid_export_diagnosed)
 
 TEST(scenario_fuzz, single_byte_mutations_never_crash)
 {
-    const std::string full =
-        export_scenario(builtin_scenario("ecn_impairment", true)).dump();
+    const std::string full = read_text(scenario_file("ecn_impairment_quick.json"));
     sim::rng rng(99);
     for (int iter = 0; iter < 600; ++iter) {
         std::string mut = full;
@@ -185,7 +183,7 @@ TEST(scenario_fuzz, single_byte_mutations_never_crash)
 
 TEST(scenario_fuzz, duplicate_key_diagnosed_with_name_and_line)
 {
-    std::string text = export_scenario(builtin_scenario("fig16", true)).dump();
+    std::string text = read_text(scenario_file("fig16_quick.json"));
     const std::string needle = "\"seed\":";
     const auto pos = text.find(needle);
     ASSERT_NE(pos, std::string::npos);
@@ -202,10 +200,9 @@ TEST(scenario_fuzz, duplicate_key_diagnosed_with_name_and_line)
 
 TEST(scenario_fuzz, absurd_values_diagnosed_with_key)
 {
-    // Each case: a valid fig09 export with one value replaced by something
+    // Each case: the fig09 quick file with one value replaced by something
     // absurd; the diagnostic must carry the key name.
-    const std::string base =
-        export_scenario(builtin_scenario("fig09", true)).dump();
+    const std::string base = read_text(scenario_file("fig09_quick.json"));
     struct edit {
         const char* needle;
         const char* replacement;
@@ -226,6 +223,8 @@ TEST(scenario_fuzz, absurd_values_diagnosed_with_key)
          "\"rtts_ms\": [\n      \"fast\"\n    ]", "rtts_ms"},
         {"\"channels\": [\n      \"static\"\n    ]",
          "\"channels\": [\n      \"statc\"\n    ]", "tcp_grid.channels[0]"},
+        {"\"ccas\": [\n      \"prague\"\n    ]", "\"ccas\": [\n      \"pragu\"\n    ]",
+         "tcp_grid.ccas[0]"},
     };
     for (const auto& e : edits) {
         SCOPED_TRACE(e.replacement);
@@ -246,8 +245,8 @@ TEST(scenario_fuzz, absurd_values_diagnosed_with_key)
 
 TEST(scenario_fuzz, export_parse_export_exact_for_all_specs)
 {
-    // Builtins in both forms plus the WRED cell_flows spec: export must be
-    // a fixpoint of parse ∘ export on bytes.
+    // Every scenario file plus the WRED cell_flows spec: export must be a
+    // fixpoint of parse ∘ export on bytes.
     for (const auto& spec : all_specs()) {
         SCOPED_TRACE(spec.figure);
         const std::string once = export_scenario(spec).dump();

@@ -1,14 +1,13 @@
-// Conformance suite for the scenario engine (ISSUE: schema-driven
-// experiment harness). Pins the three load-bearing properties:
+// Conformance suite for the scenario engine, driven by the committed files
+// under examples/scenarios/ (the only definition of the figure grids).
+// Pins the load-bearing properties:
 //
-//   1. export -> parse -> export is the identity on bytes, for every
-//      builtin scenario in both full and --quick form;
-//   2. running a builtin through the scenario engine and running its
-//      exported JSON back through parse + run_scenario produces
-//      byte-identical stdout and JSON summaries — the bench binary and
-//      `l4span_run` are thin wrappers over exactly these two calls, so
-//      this is the bench-vs-driver byte-identity claim, in-process;
-//   3. results are independent of --jobs (1 vs 4 on a scenario file).
+//   1. every file is its own export: parse -> export reproduces it byte for
+//      byte, so a file is always in the normalized form `l4span_run
+//      --export` writes;
+//   2. every *_quick.json slice prints byte-identical stdout and JSON
+//      summaries at --jobs 1 and 4 (the grid fans out over a thread pool,
+//      the tables print in fixed grid order).
 //
 // Plus: file-path round-trip via write_scenario_file/load_scenario_file,
 // and validation diagnostics naming the offending key and source line.
@@ -17,19 +16,23 @@
 
 #include <gtest/gtest.h>
 
+#include "scenario/cell_scenario.h"
 #include "scenario/grid_runner.h"
 #include "scenario/scenario_run.h"
 #include "scenario/scenario_spec.h"
+#include "scenario_files.h"
 #include "stats/json.h"
 
 using namespace l4span;
 using scenario::bench_args;
-using scenario::builtin_scenario;
 using scenario::export_scenario;
 using scenario::parse_scenario_text;
 using scenario::run_scenario;
 using scenario::scenario_error;
 using scenario::scenario_spec;
+using test::read_text;
+using test::scenario_file;
+using test::scenario_files;
 
 namespace {
 
@@ -54,8 +57,6 @@ run_output run_captured(const scenario_spec& spec, int jobs)
     return r;
 }
 
-const char* k_builtins[] = {"fig09", "fig16", "ecn_impairment", "fault_chaos"};
-
 // A minimal cell_flows document whose cell object holds `cell_members`.
 std::string cell_flows_doc(const std::string& cell_members)
 {
@@ -69,50 +70,53 @@ std::string cell_flows_doc(const std::string& cell_members)
 
 }  // namespace
 
-TEST(scenario_spec, export_parse_export_is_identity_for_builtins)
+TEST(scenario_spec, every_file_is_its_own_export)
 {
-    for (const char* name : k_builtins) {
-        for (bool quick : {false, true}) {
-            SCOPED_TRACE(std::string(name) + (quick ? " --quick" : ""));
-            const auto spec = builtin_scenario(name, quick);
-            const std::string once = export_scenario(spec).dump();
-            const auto reparsed = parse_scenario_text(once, "<roundtrip>");
-            EXPECT_EQ(export_scenario(reparsed).dump(), once);
-        }
+    const auto files = scenario_files();
+    // fig09, fig16, fig24, ecn_impairment and fault_chaos in full and quick
+    // form, plus the WRED cell_flows example.
+    EXPECT_EQ(files.size(), 11u);
+    for (const auto& path : files) {
+        SCOPED_TRACE(path);
+        const std::string text = read_text(path);
+        const auto spec = parse_scenario_text(text, path);
+        EXPECT_EQ(export_scenario(spec).dump(), text);
+        EXPECT_EQ(spec.quick, path.ends_with("_quick.json"));
     }
 }
 
-// The bench binaries call builtin_scenario() + run_scenario(); l4span_run
-// calls parse + run_scenario(). Equal output here means a bench and its
-// exported scenario file produce byte-identical stdout and summaries.
-TEST(scenario_spec, builtin_and_reparsed_export_run_byte_identical)
+TEST(scenario_spec, quick_files_byte_identical_at_jobs_1_and_4)
 {
-    for (const char* name : k_builtins) {
-        SCOPED_TRACE(name);
-        const auto spec = builtin_scenario(name, /*quick=*/true);
-        const auto reparsed =
-            parse_scenario_text(export_scenario(spec).dump(), "<export>");
-        const auto a = run_captured(spec, /*jobs=*/2);
-        const auto b = run_captured(reparsed, /*jobs=*/2);
-        EXPECT_EQ(a.out, b.out);
-        EXPECT_EQ(a.summary, b.summary);
-        EXPECT_FALSE(a.out.empty());
-        EXPECT_NE(a.summary.find("\"figure\""), std::string::npos);
+    const auto files = scenario_files(/*quick_only=*/true);
+    EXPECT_EQ(files.size(), 5u);
+    for (const auto& path : files) {
+        SCOPED_TRACE(path);
+        const auto spec = scenario::load_scenario_file(path);
+        const auto serial = run_captured(spec, /*jobs=*/1);
+        const auto sharded = run_captured(spec, /*jobs=*/4);
+        EXPECT_EQ(serial.out, sharded.out);
+        EXPECT_EQ(serial.summary, sharded.summary);
+        EXPECT_FALSE(serial.out.empty());
+        EXPECT_NE(serial.summary.find("\"figure\": \"" + spec.figure + "\""),
+                  std::string::npos);
     }
 }
 
-TEST(scenario_spec, results_independent_of_jobs)
+TEST(scenario_spec, every_cell_flows_file_builds_its_cell)
 {
-    const auto spec = builtin_scenario("fig09", /*quick=*/true);
-    const auto serial = run_captured(spec, /*jobs=*/1);
-    const auto sharded = run_captured(spec, /*jobs=*/4);
-    EXPECT_EQ(serial.out, sharded.out);
-    EXPECT_EQ(serial.summary, sharded.summary);
+    // A cell the harness would reject (e.g. an AQM without a core
+    // bottleneck to mount it on) fails here instead of at run time.
+    for (const auto& path : scenario_files()) {
+        const auto spec = scenario::load_scenario_file(path);
+        if (spec.family != "cell_flows") continue;
+        SCOPED_TRACE(path);
+        EXPECT_NO_THROW(scenario::cell_scenario{spec.cell_flows.cell});
+    }
 }
 
 TEST(scenario_spec, file_roundtrip_through_disk)
 {
-    const auto spec = builtin_scenario("fig16", /*quick=*/true);
+    const auto spec = scenario::load_scenario_file(scenario_file("fig16_quick.json"));
     const std::string path = testing::TempDir() + "l4span_scn_rt.json";
     ASSERT_EQ(scenario::write_scenario_file(path, spec), 0);
     const auto loaded = scenario::load_scenario_file(path);
@@ -134,9 +138,8 @@ TEST(scenario_spec, missing_file_names_the_path)
 
 TEST(scenario_spec, unknown_key_error_names_key_and_line)
 {
-    auto doc = export_scenario(builtin_scenario("fig09", true));
     // Inject an unknown key into the tcp_grid section and find its line.
-    std::string text = doc.dump();
+    std::string text = read_text(scenario_file("fig09_quick.json"));
     const std::string needle = "\"seed_base\"";
     const auto pos = text.find(needle);
     ASSERT_NE(pos, std::string::npos);
@@ -155,8 +158,7 @@ TEST(scenario_spec, unknown_key_error_names_key_and_line)
 
 TEST(scenario_spec, out_of_range_value_names_key)
 {
-    auto doc = export_scenario(builtin_scenario("ecn_impairment", true));
-    std::string text = doc.dump();
+    std::string text = read_text(scenario_file("ecn_impairment_quick.json"));
     const std::string needle = "\"loss\": 0";
     const auto pos = text.find(needle);
     ASSERT_NE(pos, std::string::npos);
@@ -202,6 +204,50 @@ TEST(scenario_spec, unknown_name_error_names_key_path_line_and_valid_names)
     }
 }
 
+TEST(scenario_spec, unknown_cca_rejected_at_parse_with_key_path_line_and_valid_names)
+{
+    // Each file's first CCA name misspelled: the four CCA keys of the schema
+    // reject it at parse time instead of the runner throwing mid-grid.
+    struct bad {
+        const char* file;
+        const char* needle;
+        const char* typo;
+        const char* key_path;
+    };
+    const bad cases[] = {
+        {"fig09_quick.json", "\"prague\"", "\"pragu\"", "tcp_grid.ccas[0]"},
+        {"ecn_impairment_quick.json", "\"cca\": \"prague\"", "\"cca\": \"pragu\"",
+         "ecn_impairment.ccas[0].cca"},
+        {"fault_chaos_quick.json", "\"cca\": \"prague\"", "\"cca\": \"pragu\"",
+         "fault_chaos.transports[0].cca"},
+        {"wred_cell_flows.json", "\"cca\": \"prague\"", "\"cca\": \"pragu\"",
+         "cell_flows.flows[0].cca"},
+    };
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.file);
+        std::string text = read_text(scenario_file(c.file));
+        const auto pos = text.find(c.needle);
+        ASSERT_NE(pos, std::string::npos);
+        text.replace(pos, std::string(c.needle).size(), c.typo);
+        try {
+            parse_scenario_text(text, "<test>");
+            FAIL() << "unknown CCA must be rejected";
+        } catch (const scenario_error& e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(std::string("key \"") + c.key_path + "\""),
+                      std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("unknown CCA \"pragu\""), std::string::npos) << msg;
+            EXPECT_NE(msg.find("(line "), std::string::npos) << msg;
+            EXPECT_NE(msg.find("(valid: reno, cubic, prague, bbr, bbr2, scream, "
+                               "udp-prague, quic-reno, quic-cubic, quic-prague, "
+                               "quic-bbr, quic-bbr2)"),
+                      std::string::npos)
+                << msg;
+        }
+    }
+}
+
 TEST(scenario_spec, partial_nested_object_keeps_the_other_defaults)
 {
     // Keys a nested object omits keep the enclosing struct's defaults: a
@@ -242,9 +288,4 @@ TEST(scenario_spec, unknown_family_lists_valid_ones)
         EXPECT_NE(msg.find("mesh"), std::string::npos) << msg;
         EXPECT_NE(msg.find("cell_flows"), std::string::npos) << msg;
     }
-}
-
-TEST(scenario_spec, builtin_unknown_name_throws)
-{
-    EXPECT_THROW(builtin_scenario("fig99", false), scenario_error);
 }
